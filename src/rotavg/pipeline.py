@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,11 +49,9 @@ def run_pipeline(
     refine = None
     rotations = solve.rotations
     if robust_kind != "none":
-        if robust_cfg is None:
-            robust_cfg = RobustConfig()
-        robust_cfg.mode = "aniso" if robust_kind == "airls" else "iso"
+        mode = "aniso" if robust_kind == "airls" else "iso"
         t0 = time.perf_counter()
-        refine = robust_refine(graph, rotations, robust_cfg)
+        refine = robust_refine(graph, rotations, replace(robust_cfg or RobustConfig(), mode=mode))
         timings["refine"] = (time.perf_counter() - t0) * 1e3
         rotations = refine.rotations
 

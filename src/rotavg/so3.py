@@ -113,6 +113,47 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     return theta * axis
 
 
+def exp_so3_batch(omegas: np.ndarray) -> np.ndarray:
+    """exp_so3 over a leading axis: (k, 3) tangent vectors to (k, 3, 3) rotations.
+
+    Uses the same series coefficients as exp_so3 below the small-angle threshold.
+    """
+    omegas = np.asarray(omegas, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("non-finite tangent vector")
+    theta = np.linalg.norm(omegas, axis=1)
+    x, y, z = omegas.T
+    zero = np.zeros_like(x)
+    k = np.stack(
+        [np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1), np.stack([-y, x, zero], 1)], 1
+    )
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+
+
+def log_so3_batch(r: np.ndarray) -> np.ndarray:
+    """log_so3 over a leading axis: (k, 3, 3) rotations to (k, 3) tangent vectors.
+
+    Keeps log_so3's branches: the series below the small-angle threshold and,
+    for the rows within 1e-4 of theta = pi, log_so3's diagonal-pivot axis.
+    """
+    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)
+    cos_theta = np.clip((np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    w = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], 1)
+    small = theta < _SMALL_ANGLE
+    near_pi = np.pi - theta <= 1e-4
+    safe = np.where(small | near_pi, 1.0, theta)
+    scale = np.where(small, 0.5 * (1.0 + theta**2 / 6.0), safe / (2.0 * np.sin(safe)))
+    out = w * scale[:, None]
+    for k in np.flatnonzero(near_pi):
+        out[k] = log_so3(r[k])
+    return out
+
+
 def angular_distance_deg(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic distance |log(a^T b)| between two rotations, in degrees."""
     return float(np.degrees(np.linalg.norm(log_so3(np.asarray(a).T @ b))))

@@ -103,13 +103,18 @@ def anisotropic_weight(h: np.ndarray) -> np.ndarray:
 
 
 def clamp_psd(h: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues at 1e-9*tr(h)/3 so Cholesky downstream succeeds."""
-    h = 0.5 * (np.asarray(h, dtype=float) + np.asarray(h, dtype=float).T)
-    floor = 1e-9 * max(np.trace(h), 0.0) / 3.0
+    """Clamp eigenvalues at 1e-9*tr(h)/3 so Cholesky downstream succeeds.
+
+    Works on one 3x3 matrix or a stack over leading axes. A matrix whose
+    smallest eigenvalue already clears the floor is returned unchanged
+    (symmetrized).
+    """
+    h = np.asarray(h, dtype=float)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    floor = 1e-9 * np.maximum(np.trace(h, axis1=-2, axis2=-1), 0.0) / 3.0
     w, v = np.linalg.eigh(h)
-    if w[0] >= floor:
-        return h
-    return (v * np.maximum(w, floor)) @ v.T
+    clamped = (v * np.maximum(w, floor[..., None])[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return np.where((w[..., 0] >= floor)[..., None, None], h, clamped)
 
 
 class ConnectionBlocks:

@@ -98,6 +98,21 @@ class TestSolveEval:
         assert code == 1
         assert "Hessian" in capsys.readouterr().err
 
+    def test_airls_zero_hessian_exit_1(self, tmp_path, capsys):
+        vg = tmp_path / "zero_h.vg"
+        rot = " ".join("%.17g" % v for v in np.eye(3).ravel())
+        h = {k: " ".join("%.17g" % v for v in (k * np.eye(3)).ravel()) for k in (0.0, 1.0)}
+        vg.write_text(
+            "VGRAPH 1 3\n"
+            f"EDGE 0 1 {rot} H {h[1.0]}\n"
+            f"EDGE 0 2 {rot} H {h[1.0]}\n"
+            f"EDGE 1 2 {rot} H {h[0.0]}\n"
+        )
+        code = run(["solve", "--in", vg, "--robust", "airls", "--out", tmp_path / "e.rot"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "edge (1,2)" in err and "trace" in err
+
     def test_eval_camera_count_mismatch_exit_1(self, noiseless_loop, tmp_path, capsys):
         vg, gt = noiseless_loop
         short = tmp_path / "short.rot"

@@ -1,0 +1,20 @@
+"""Tests for the high-level solve pipeline."""
+
+import dataclasses
+
+import pytest
+
+from rotavg.pipeline import run_pipeline
+from rotavg.robust import RobustConfig
+from rotavg.solver import SolverConfig
+from rotavg.synth import SceneSpec, generate_scene
+
+
+@pytest.mark.parametrize("robust_kind", ["irls", "airls"])
+def test_robust_config_not_mutated(robust_kind):
+    graph = generate_scene(SceneSpec(kind="general", n=8, p=0.8, seed=2)).graph
+    cfg = RobustConfig(max_outer_iters=3)
+    before = dataclasses.asdict(cfg)
+    res = run_pipeline(graph, SolverConfig(), robust_kind, cfg)
+    assert dataclasses.asdict(cfg) == before
+    assert res.refine is not None and res.refine.iters_run >= 1

@@ -5,13 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rotavg import so3
+from rotavg import robust, so3
 from rotavg.robust import (
     RobustConfig,
-    cholesky_factor,
-    geman_mcclure,
+    _EdgeModel,
     irls_weight,
-    residual_tangent,
+    robust_cost,
     robust_refine,
     solve_normal_equations,
     write_robust_trace_csv,
@@ -38,15 +37,27 @@ def noisy_graph(n, rng, sigma=0.05, with_hessians=True, outliers=0):
     return ViewGraph(n, edges), gt
 
 
+def residual_tangent(rel, r_i, r_j):
+    """Batched residual of the single edge (0, 1) between cameras r_i, r_j."""
+    model = _EdgeModel(ViewGraph(2, [EdgeMeasurement(0, 1, rel)]), "iso")
+    return model.residuals(np.stack([r_i, r_j]))[0]
+
+
+def whitener(h):
+    """Upper-triangular D with D^T D = clamped h, undoing the trace normalization."""
+    model = _EdgeModel(ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3), h)]), "aniso")
+    return model.dn[0] * model.norm_scale[0]
+
+
 class TestKernels:
     def test_geman_mcclure_values(self):
-        assert geman_mcclure(0.0, 1.0) == 0.0
-        assert geman_mcclure(2.0, 2.0) == pytest.approx(0.5)
-        assert geman_mcclure(1e6 * 3.0, 3.0) > 0.999999
+        assert robust_cost(np.array([0.0]), 1.0) == 0.0
+        assert robust_cost(np.array([2.0]), 2.0) == pytest.approx(0.5)
+        assert robust_cost(np.array([1e6 * 3.0]), 3.0) > 0.999999
 
     def test_geman_mcclure_monotone(self):
         xs = np.linspace(0, 10, 200)
-        vals = [geman_mcclure(x, 1.5) for x in xs]
+        vals = [robust_cost(np.array([x]), 1.5) for x in xs]
         assert np.all(np.diff(vals) > 0)
 
     def test_irls_weight_values(self):
@@ -73,27 +84,61 @@ class TestResidualTangent:
         np.testing.assert_allclose(got, eps, atol=1e-12)
 
     def test_norm_preserved_under_conjugation(self):
+        # 20 independent edges (2k, 2k+1) evaluated in one batched call.
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            r_i, r_j = so3.random_rotation(rng), so3.random_rotation(rng)
-            delta = 0.4 * rng.standard_normal(3)
-            rel = r_j @ so3.exp_so3(delta) @ r_i.T
-            got = residual_tangent(rel, r_i, r_j)
-            assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(delta), abs=1e-9)
+        r = np.stack([so3.random_rotation(rng) for _ in range(40)])
+        deltas = 0.4 * rng.standard_normal((20, 3))
+        edges = [
+            EdgeMeasurement(2 * k, 2 * k + 1, r[2 * k + 1] @ so3.exp_so3(d) @ r[2 * k].T)
+            for k, d in enumerate(deltas)
+        ]
+        got = _EdgeModel(ViewGraph(40, edges), "iso").residuals(r)
+        np.testing.assert_allclose(
+            np.linalg.norm(got, axis=1), np.linalg.norm(deltas, axis=1), rtol=0, atol=1e-9
+        )
+
+    def test_matches_per_edge_log(self):
+        # Outlier edges give residual angles across (0, pi].
+        rng = np.random.default_rng(11)
+        g, gt = noisy_graph(9, rng, sigma=0.1, outliers=12)
+        r = np.stack([x @ so3.exp_so3(0.2 * rng.standard_normal(3)) for x in gt])
+        want = np.stack([so3.log_so3(r[e.j].T @ e.rel @ r[e.i]) for e in g.edges])
+        got = _EdgeModel(g, "iso").residuals(r)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCholeskyFactor:
     def test_reconstructs_hessian(self):
         h = random_spd(np.random.default_rng(2))
-        d = cholesky_factor(h)
+        d = whitener(h)
         assert np.allclose(np.triu(d), d)  # upper triangular
         np.testing.assert_allclose(d.T @ d, h, rtol=1e-12, atol=1e-12)
 
     def test_semidefinite_input_repaired(self):
         h = np.diag([4.0, 1.0, 0.0])
-        d = cholesky_factor(h)
+        d = whitener(h)
         assert np.all(np.isfinite(d))
         np.testing.assert_allclose((d.T @ d), h, atol=1e-6)
+
+    def test_normalized_by_trace(self):
+        rng = np.random.default_rng(12)
+        g, _ = noisy_graph(5, rng)
+        model = _EdgeModel(g, "aniso")
+        np.testing.assert_allclose(
+            np.einsum("eba,ebc->eac", model.dn, model.dn).trace(axis1=1, axis2=2),
+            np.full(len(g.edges), 3.0),
+            rtol=1e-12,
+        )
+
+    def test_zero_trace_hessian_rejected(self):
+        edges = [
+            EdgeMeasurement(0, 1, np.eye(3), np.eye(3)),
+            EdgeMeasurement(0, 2, np.eye(3), np.zeros((3, 3))),
+            EdgeMeasurement(1, 2, np.eye(3), np.eye(3)),
+        ]
+        g = ViewGraph(3, edges)
+        with pytest.raises(ValueError, match=r"edge \(0,2\).*trace"):
+            robust_refine(g, np.tile(np.eye(3), (3, 1, 1)), RobustConfig(mode="aniso"))
 
 
 class TestNormalEquations:
@@ -118,6 +163,45 @@ class TestNormalEquations:
                 jac[3 * e_id : 3 * e_id + 3, 3 * (e.j - 1) : 3 * e.j] = np.eye(3)
         want, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         np.testing.assert_allclose(delta[1:].ravel(), want, atol=1e-8)
+
+    @pytest.mark.parametrize("cg_fails", [False, True], ids=["cg", "direct_fallback"])
+    def test_weight_spread_against_dense_solve(self, cg_fails, monkeypatch):
+        # Weights over 1e-6..1 and anisotropic precisions: least squares on
+        # the rows sqrt(w_e) D_e (delta_j - delta_i - omega_e), camera 0 pinned.
+        if cg_fails:
+            monkeypatch.setattr(robust.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+        rng = np.random.default_rng(13)
+        g, _ = noisy_graph(8, rng, sigma=0.1)
+        e_count = len(g.edges)
+        weights = 10.0 ** rng.uniform(-6.0, 0.0, e_count)
+        precisions = np.stack([random_spd(rng) for _ in range(e_count)])
+        omegas = 0.1 * rng.standard_normal((e_count, 3))
+        delta = solve_normal_equations(g, weights, precisions, omegas)
+        np.testing.assert_array_equal(delta[0], np.zeros(3))
+        m = g.n - 1
+        jac = np.zeros((3 * e_count, 3 * m))
+        rhs = np.zeros(3 * e_count)
+        for e_id, e in enumerate(g.edges):
+            d = np.sqrt(weights[e_id]) * np.linalg.cholesky(precisions[e_id]).T
+            rows = slice(3 * e_id, 3 * e_id + 3)
+            if e.i >= 1:
+                jac[rows, 3 * (e.i - 1) : 3 * e.i] = -d
+            jac[rows, 3 * (e.j - 1) : 3 * e.j] = d
+            rhs[rows] = d @ omegas[e_id]
+        want, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+        np.testing.assert_allclose(delta[1:].ravel(), want, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 1), (1, 2)], [(0, 1), (2, 3)]], ids=["isolated_vertex", "split_pair"]
+    )
+    def test_disconnected_system_is_singular(self, pairs):
+        g = ViewGraph(4, [EdgeMeasurement(i, j, np.eye(3)) for i, j in pairs])
+        e_count = len(g.edges)
+        with pytest.raises(ValueError, match="singular"):
+            solve_normal_equations(
+                g, np.ones(e_count), np.tile(np.eye(3), (e_count, 1, 1)),
+                0.1 * np.ones((e_count, 3)),
+            )
 
     def test_pinned_gauge_makes_system_nonsingular(self):
         rng = np.random.default_rng(4)

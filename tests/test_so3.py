@@ -111,6 +111,58 @@ class TestExpLog:
         assert_rotation(so3.exp_so3(np.array(v)))
 
 
+def tangent_vectors(regime, count=300, seed=0):
+    """Axis-angle vectors whose angles fall in one branch regime of exp/log."""
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((count, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = {
+        "random": rng.uniform(0.0, np.pi, count),
+        "small": rng.uniform(0.0, 1e-6, count),
+        "near_pi": np.pi - rng.uniform(0.0, 1e-4, count),
+        "pi": np.full(count, np.pi),
+    }[regime]
+    return axes * angles[:, None]
+
+
+class TestBatchedMaps:
+    # The batched log repeats the scalar arithmetic, so it must agree
+    # exactly; the batched exp forms K^2 with a stacked matmul, whose
+    # summation order may differ from the 3x3 product by a few ulp.
+    EXP_ATOL = 1e-14
+
+    @pytest.mark.parametrize("regime", ["random", "small", "near_pi", "pi"])
+    def test_match_scalar_maps(self, regime):
+        omegas = tangent_vectors(regime)
+        want_r = np.stack([so3.exp_so3(v) for v in omegas])
+        np.testing.assert_allclose(so3.exp_so3_batch(omegas), want_r, rtol=0, atol=self.EXP_ATOL)
+        want_w = np.stack([so3.log_so3(r) for r in want_r])
+        np.testing.assert_array_equal(so3.log_so3_batch(want_r), want_w)
+
+    def test_mixed_regimes_in_one_stack(self):
+        regimes = ["pi", "random", "small", "near_pi"]
+        omegas = np.concatenate(
+            [tangent_vectors(k, count=50, seed=s) for s, k in enumerate(regimes)]
+        )
+        np.random.default_rng(1).shuffle(omegas)
+        rots = np.stack([so3.exp_so3(v) for v in omegas])
+        np.testing.assert_array_equal(
+            so3.log_so3_batch(rots), np.stack([so3.log_so3(r) for r in rots])
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3), min_size=1,
+                    max_size=8))
+    def test_exp_matches_scalar(self, vs):
+        omegas = np.array(vs)
+        want = np.stack([so3.exp_so3(v) for v in omegas])
+        np.testing.assert_allclose(so3.exp_so3_batch(omegas), want, rtol=0, atol=self.EXP_ATOL)
+
+    def test_exp_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            so3.exp_so3_batch(np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]))
+
+
 class TestAngularDistance:
     def test_self_distance_zero(self):
         for r in random_rotations(10, seed=11):
