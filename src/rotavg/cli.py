@@ -8,7 +8,6 @@ seeds, paths and stage timings, sufficient to reproduce the outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 import time
@@ -135,20 +134,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bench_one(config_name, n, p, sweeps, robust_kind, seed):
+def _bench_timings(n, p, sweeps, robust_kind, seed) -> dict[str, float]:
     spec = synth.SceneSpec(kind="general", n=n, p=p, seed=seed)
     scene = synth.generate_scene(spec)
     cfg = SolverConfig(
         init="zeros", max_sweeps=sweeps, objective_tol=1e-300,
         step_tol_deg=1e-300, shuffle_seed=seed, mode="aniso",
     )
-    result = run_pipeline(scene.graph, cfg, robust_kind)
-    return [(config_name, stage, ms) for stage, ms in result.timings_ms.items()]
-
-
-def _bench_job(job):
-    config_name, n, p, sweeps, robust_kind, seed, _rep = job
-    return _bench_one(config_name, n, p, sweeps, robust_kind, seed)
+    return run_pipeline(scene.graph, cfg, robust_kind).timings_ms
 
 
 def cmd_bench(args) -> int:
@@ -156,25 +149,13 @@ def cmd_bench(args) -> int:
     for item in args.sizes.split(","):
         n_str, p_str = item.split(":")
         configs.append((int(n_str), float(p_str)))
-    jobs = [
-        (f"n{n}_p{p:g}", n, p, args.sweeps, args.robust, args.seed + rep, rep)
-        for n, p in configs
-        for rep in range(args.repeats)
-    ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_bench_job, jobs))
-    else:
-        outputs = [_bench_job(job) for job in jobs]
     rows = []
     for n, p in configs:
         name = f"n{n}_p{p:g}"
         per_stage: dict[str, list[float]] = {}
-        # Results ordered deterministically by config then rep index.
-        for (cname, *_, rep), timing_rows in zip(jobs, outputs):
-            if cname != name:
-                continue
-            for _, stage, ms in timing_rows:
+        for rep in range(args.repeats):
+            timings = _bench_timings(n, p, args.sweeps, args.robust, args.seed + rep)
+            for stage, ms in timings.items():
                 rows.append((name, stage, str(rep), ms))
                 per_stage.setdefault(stage, []).append(ms)
         for stage, vals in per_stage.items():
@@ -243,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sweeps", type=int, default=100)
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.add_argument("--robust", choices=["none", "irls", "airls"], default="none")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="timing CSV path")
     p_bench.add_argument("--manifest", default=None)

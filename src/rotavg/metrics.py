@@ -46,12 +46,6 @@ def per_camera_errors_deg(aligned: np.ndarray, gt: np.ndarray) -> np.ndarray:
     )
 
 
-def rms_error_deg(aligned: np.ndarray, gt: np.ndarray) -> float:
-    """Root-mean-square angular error in degrees (stacks already aligned)."""
-    e = per_camera_errors_deg(aligned, gt)
-    return float(np.sqrt(np.mean(e**2)))
-
-
 def auc(errors_deg, n_deg: float) -> float:
     """Exact area under the recall-vs-threshold curve on [0, n], in percent."""
     errors = np.asarray(errors_deg, dtype=float)

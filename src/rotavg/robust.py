@@ -80,17 +80,10 @@ class _EdgeModel:
 
     def __init__(self, g: ViewGraph, mode: str):
         self.mode = mode
-        self.i_idx = np.array([e.i for e in g.edges], dtype=np.intp)
-        self.j_idx = np.array([e.j for e in g.edges], dtype=np.intp)
-        self.rel = np.array([e.rel for e in g.edges], dtype=float).reshape(-1, 3, 3)
+        self.i_idx, self.j_idx = g.i_idx, g.j_idx
+        self.rel = g.rel_stack()
         if mode == "aniso":
-            missing = [f"({e.i},{e.j})" for e in g.edges if e.hessian is None]
-            if missing:
-                raise ValueError(
-                    "aniso refinement requires a Hessian on every edge; "
-                    f"missing on {', '.join(missing)}"
-                )
-            h = np.array([e.hessian for e in g.edges], dtype=float).reshape(-1, 3, 3)
+            h = g.hessian_stack()
             trace = np.einsum("eaa->e", h)
             bad = np.flatnonzero(~(trace > 0.0))
             if bad.size:
@@ -106,7 +99,7 @@ class _EdgeModel:
             self.dn = np.swapaxes(np.linalg.cholesky(self.h), 1, 2) / scale[:, None, None]
             self.norm_scale = scale
         else:
-            e_count = len(g.edges)
+            e_count = len(self.i_idx)
             self.h = np.tile(np.eye(3), (e_count, 1, 1))
             self.dn = self.h.copy()
             self.norm_scale = np.ones(e_count)
@@ -136,16 +129,14 @@ def solve_normal_equations(
     weights: np.ndarray,
     precisions: np.ndarray,
     omegas: np.ndarray,
-    edge_index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
     `precisions` holds D_e^T D_e per edge. Camera 0 is pinned (delta_0 = 0);
-    the returned (n, 3) step includes the pinned zero row. `edge_index` is the
-    (i, j) endpoint arrays of `g.edges`, gathered from the graph when omitted.
-    The system is solved by conjugate gradients preconditioned with the
-    inverted 3x3 diagonal blocks, falling back to a direct sparse solve when
-    CG does not converge.
+    the returned (n, 3) step includes the pinned zero row. The system is
+    assembled from the graph's edge index arrays and solved by conjugate
+    gradients preconditioned with the inverted 3x3 diagonal blocks, falling
+    back to a direct sparse solve when CG does not converge.
 
     Raises:
         ValueError: if the system is singular (some camera not connected to
@@ -153,12 +144,7 @@ def solve_normal_equations(
     """
     n = g.n
     m = n - 1  # free cameras 1..n-1
-    if edge_index is None:
-        edge_index = (
-            np.array([e.i for e in g.edges], dtype=np.intp),
-            np.array([e.j for e in g.edges], dtype=np.intp),
-        )
-    i_idx, j_idx = edge_index
+    i_idx, j_idx = g.i_idx, g.j_idx
     # Imported here: loading csgraph costs about 1 MB of resident memory,
     # which runs without robust refinement need not pay.
     from scipy.sparse import csgraph
@@ -243,9 +229,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
 
     for it in range(cfg.max_outer_iters):
         weights = irls_weight(model.whitened_norms(r, omegas), tau)
-        delta = solve_normal_equations(
-            g, weights, model.effective_precisions(r), omegas, (model.i_idx, model.j_idx)
-        )
+        delta = solve_normal_equations(g, weights, model.effective_precisions(r), omegas)
 
         halvings = 0
         while True:

@@ -159,12 +159,6 @@ def angular_distance_deg(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(np.linalg.norm(log_so3(np.asarray(a).T @ b))))
 
 
-def rotation_angle_deg(r: np.ndarray) -> float:
-    """Rotation angle of a single rotation matrix, in degrees, in [0, 180]."""
-    cos_theta = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos_theta)))
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Draw from the uniform (Haar) distribution on SO(3).
 

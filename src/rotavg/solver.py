@@ -73,26 +73,32 @@ def objective(nb: ConnectionBlocks, r: np.ndarray) -> float:
 def coordinate_update(nb: ConnectionBlocks, r: np.ndarray, k: int) -> np.ndarray:
     """Optimal rotation for camera k with all other blocks fixed.
 
-    Gathers G = sum over neighbors m of N_{m,k}^T R_m and projects it onto
-    SO(3). An isolated vertex yields G = 0, which projects to the identity
-    (a warning is recorded).
+    The update acd_solve applies, with the identity where the gathered term
+    is (near) zero. An isolated vertex also gets the identity, with a warning.
     """
     indices, coeffs = nb.neighbor_tables()
-    return _update_from_tables(indices, coeffs, r, k)
-
-
-def _update_from_tables(indices, coeffs, r, k) -> np.ndarray:
-    idx = indices[k]
-    if len(idx) == 0:
+    if len(indices[k]) == 0:
         warnings.warn(f"vertex {k} has no incident edges; using identity")
         return np.eye(3)
-    g = coeffs[k] @ r[idx].reshape(-1, 3)
-    return so3.project_so3(g)
+    new_rk = _block_update(indices, coeffs, r, k)
+    return np.eye(3) if new_rk is None else new_rk
 
 
-def _gather(indices, coeffs, r, k) -> np.ndarray:
-    idx = indices[k]
-    return coeffs[k] @ r[idx].reshape(-1, 3)
+def _block_update(indices, coeffs, r, k) -> np.ndarray | None:
+    """Closed-form minimizer for camera k given the others, or None.
+
+    Gathers G = sum over neighbors m of N_{m,k}^T R_m and returns its SO(3)
+    projection U diag(1, 1, sign det(U V^T)) V^T from the SVD G = U S V^T.
+    Returns None when G is (near) zero, as for a camera whose neighbors are
+    all still unassigned.
+    """
+    g = coeffs[k] @ r[indices[k]].reshape(-1, 3)
+    u, s, vt = np.linalg.svd(g)
+    if s[0] < 1e-12:
+        return None
+    if _det3(u) * _det3(vt) < 0.0:
+        u[:, 2] = -u[:, 2]
+    return u @ vt
 
 
 def _det3(m: np.ndarray) -> float:
@@ -135,36 +141,30 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     assigned = np.array([np.any(blk) for blk in r])
     seeded = bool(assigned.any())
 
-    svd = np.linalg.svd
     two_sqrt2 = 2.0 * np.sqrt(2.0)
 
     def update(k: int) -> float:
-        """Closed-form coordinate step for camera k; returns its angle in degrees.
+        """Apply camera k's block update; returns its angle in degrees.
 
         Returns -1.0 when all of k's neighbors are still unassigned and the
         block is left untouched (or seeded, if no seed exists yet).
         """
         nonlocal seeded
-        idx = indices[k]
-        if len(idx) == 0:
+        if len(indices[k]) == 0:
             if not assigned[k]:
                 warnings.warn(f"vertex {k} has no incident edges; using identity")
                 r[k] = np.eye(3)
                 assigned[k] = True
                 return 180.0
             return 0.0
-        g = coeffs[k] @ r[idx].reshape(-1, 3)
-        u, s, vt = svd(g)
-        if s[0] < 1e-12:
+        new_rk = _block_update(indices, coeffs, r, k)
+        if new_rk is None:
             if not seeded:
                 r[k] = np.eye(3)
                 assigned[k] = True
                 seeded = True
                 return 180.0
             return -1.0
-        if _det3(u) * _det3(vt) < 0.0:
-            u[:, 2] = -u[:, 2]
-        new_rk = u @ vt
         if assigned[k]:
             # Geodesic step from the chordal gap: |R1 - R2|_F = 2*sqrt(2)*sin(theta/2)
             d = new_rk - r[k]

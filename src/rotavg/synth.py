@@ -8,8 +8,7 @@ the generating one, so the reported uncertainty is exact.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,11 +161,3 @@ def perturbed_graph(scene: SyntheticScene, sigma_deg: float, gamma: float, seed:
     ]
     return ViewGraph(scene.graph.n, edges)
 
-
-def write_manifest(spec: SceneSpec, path, extra: dict | None = None) -> None:
-    payload = {"scene_spec": asdict(spec)}
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -8,6 +8,7 @@ the measured relative rotation (R_ij <- R_ij exp(delta)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,10 @@ class EdgeMeasurement:
             raise ValueError(f"edge ({self.i},{self.j}) not in canonical i<j order")
         if self.hessian is not None:
             h = np.asarray(self.hessian, dtype=float)
-            if np.linalg.norm(h - h.T) > SYMMETRY_TOL:
+            asym = np.linalg.norm(h - h.T)
+            if not math.isfinite(asym):  # a NaN or inf entry makes h - h.T non-finite
+                raise ValueError(f"edge ({self.i},{self.j}): Hessian not finite")
+            if asym > SYMMETRY_TOL:
                 raise ValueError(f"edge ({self.i},{self.j}): Hessian not symmetric")
             if np.linalg.eigvalsh(h).min() < -SYMMETRY_TOL:
                 raise ValueError(f"edge ({self.i},{self.j}): Hessian not PSD")
@@ -47,10 +51,16 @@ class EdgeMeasurement:
 
 @dataclass
 class ViewGraph:
-    """n cameras plus undirected relative-rotation measurements."""
+    """n cameras plus undirected relative-rotation measurements.
+
+    `i_idx` and `j_idx` hold the endpoints of `edges` as (E,) index arrays,
+    built once at construction; the edge list is not to be changed afterwards.
+    """
 
     n: int
     edges: list[EdgeMeasurement] = field(default_factory=list)
+    i_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    j_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -60,10 +70,30 @@ class ViewGraph:
             if (e.i, e.j) in seen:
                 raise ValueError(f"duplicate edge ({e.i},{e.j})")
             seen.add((e.i, e.j))
+        self.i_idx = np.array([e.i for e in self.edges], dtype=np.intp)
+        self.j_idx = np.array([e.j for e in self.edges], dtype=np.intp)
 
     @property
     def has_hessians(self) -> bool:
         return all(e.hessian is not None for e in self.edges)
+
+    def rel_stack(self) -> np.ndarray:
+        """(E, 3, 3) relative rotations, gathered from the edges on each call."""
+        return np.array([e.rel for e in self.edges], dtype=float).reshape(-1, 3, 3)
+
+    def hessian_stack(self) -> np.ndarray:
+        """(E, 3, 3) edge Hessians, gathered from the edges on each call.
+
+        Raises:
+            ValueError: naming the first edge that carries no Hessian.
+        """
+        for e in self.edges:
+            if e.hessian is None:
+                raise ValueError(
+                    f"aniso mode requires a Hessian on every edge; edge "
+                    f"({e.i},{e.j}) has none"
+                )
+        return np.array([e.hessian for e in self.edges], dtype=float).reshape(-1, 3, 3)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest member."""
@@ -93,13 +123,16 @@ class ViewGraph:
 
 
 def anisotropic_weight(h: np.ndarray) -> np.ndarray:
-    """Map an edge Hessian to its chordal weight 0.5*tr(h)*I - h."""
+    """Map an edge Hessian to its chordal weight 0.5*tr(h)*I - h.
+
+    Works on one 3x3 matrix or a stack over leading axes.
+    """
     h = np.asarray(h, dtype=float)
-    if h.shape != (3, 3):
+    if h.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3x3 Hessian, got {h.shape}")
-    if np.linalg.norm(h - h.T) > SYMMETRY_TOL:
+    if np.any(np.linalg.norm(h - np.swapaxes(h, -1, -2), axis=(-2, -1)) > SYMMETRY_TOL):
         raise ValueError("Hessian not symmetric within tolerance")
-    return 0.5 * np.trace(h) * np.eye(3) - h
+    return 0.5 * np.trace(h, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - h
 
 
 def clamp_psd(h: np.ndarray) -> np.ndarray:
@@ -179,23 +212,9 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
     """
     if mode not in ("iso", "aniso"):
         raise ValueError(f"unknown mode {mode!r}")
-    i_idx = np.empty(len(g.edges), dtype=np.intp)
-    j_idx = np.empty(len(g.edges), dtype=np.intp)
-    lower = np.empty((len(g.edges), 3, 3))
-    for e, edge in enumerate(g.edges):
-        if mode == "aniso":
-            if edge.hessian is None:
-                raise ValueError(
-                    f"aniso mode requires a Hessian on every edge; edge "
-                    f"({edge.i},{edge.j}) has none"
-                )
-            m = anisotropic_weight(edge.hessian)
-        else:
-            m = np.eye(3)
-        i_idx[e] = edge.i
-        j_idx[e] = edge.j
-        lower[e] = m @ edge.rel
-    return ConnectionBlocks(g.n, i_idx, j_idx, lower)
+    rel = g.rel_stack()
+    lower = anisotropic_weight(g.hessian_stack()) @ rel if mode == "aniso" else rel
+    return ConnectionBlocks(g.n, g.i_idx, g.j_idx, lower)
 
 
 def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
@@ -298,7 +317,11 @@ def load_view_graph(path) -> ViewGraph:
                 if tok[0] == "VGRAPH":
                     if len(tok) != 3 or tok[1] != "1":
                         raise GraphFormatError(f"line {lineno}: bad VGRAPH header")
+                    if n is not None:
+                        raise GraphFormatError(f"line {lineno}: second VGRAPH header")
                     n = int(tok[2])
+                    if n < 1:
+                        raise GraphFormatError(f"line {lineno}: camera count {n} is not positive")
                 elif tok[0] == "EDGE":
                     if n is None:
                         raise GraphFormatError(f"line {lineno}: EDGE before VGRAPH header")
@@ -332,7 +355,7 @@ def load_view_graph(path) -> ViewGraph:
 def _validated_rotation(m: np.ndarray, lineno: int) -> np.ndarray:
     err = np.linalg.norm(m.T @ m - np.eye(3))
     det_err = abs(np.linalg.det(m) - 1.0)
-    if err > OFF_MANIFOLD_TOL or det_err > OFF_MANIFOLD_TOL:
+    if not (err <= OFF_MANIFOLD_TOL and det_err <= OFF_MANIFOLD_TOL):  # NaN fails too
         raise GraphFormatError(
             f"line {lineno}: rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
             f"(orthogonality {err:.3g}, det error {det_err:.3g})"
@@ -360,10 +383,15 @@ def load_rotations(path) -> np.ndarray:
             tok = line.split()
             if tok[0] != "ROT" or len(tok) != 11:
                 raise GraphFormatError(f"line {lineno}: malformed ROT line")
-            i = int(tok[1])
+            try:
+                i = int(tok[1])
+                m = np.array([float(v) for v in tok[2:11]]).reshape(3, 3)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from exc
+            if i < 0:
+                raise GraphFormatError(f"line {lineno}: negative camera id {i}")
             if i in rows:
                 raise GraphFormatError(f"line {lineno}: duplicate camera id {i}")
-            m = np.array([float(v) for v in tok[2:11]]).reshape(3, 3)
             rows[i] = _validated_rotation(m, lineno)
     if not rows:
         raise GraphFormatError("empty rotation file")

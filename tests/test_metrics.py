@@ -14,7 +14,6 @@ from rotavg.metrics import (
     evaluate,
     gauge_align,
     per_camera_errors_deg,
-    rms_error_deg,
     write_metrics_json,
 )
 
@@ -58,24 +57,26 @@ class TestGaugeAlign:
 class TestRms:
     def test_zero_on_equal_stacks(self):
         gt = random_stack(5, 7)
-        assert rms_error_deg(gt, gt) == pytest.approx(0.0, abs=1e-9)
+        assert evaluate(gt, gt).rms_deg == pytest.approx(0.0, abs=1e-9)
 
     def test_three_four_errors(self):
-        gt = np.tile(np.eye(3), (2, 1, 1))
+        # Symmetric pairs about each axis: the gauge alignment is the identity.
+        gt = np.tile(np.eye(3), (4, 1, 1))
         est = np.stack(
             [
-                so3.exp_so3(np.array([np.radians(3.0), 0, 0])),
-                so3.exp_so3(np.array([0, np.radians(4.0), 0])),
+                so3.exp_so3(np.radians([deg, 0.0, 0.0])) for deg in (3.0, -3.0)
             ]
+            + [so3.exp_so3(np.radians([0.0, deg, 0.0])) for deg in (4.0, -4.0)]
         )
-        assert rms_error_deg(est, gt) == pytest.approx(5.0 / np.sqrt(2), abs=1e-9)
+        np.testing.assert_array_equal(gauge_align(est, gt), est)
+        assert evaluate(est, gt).rms_deg == pytest.approx(5.0 / np.sqrt(2), abs=5e-16)
 
     def test_permutation_invariant(self):
         gt = random_stack(6, 8)
         est = random_stack(6, 9)
         perm = np.random.default_rng(10).permutation(6)
-        assert rms_error_deg(est, gt) == pytest.approx(
-            rms_error_deg(est[perm], gt[perm]), abs=1e-12
+        assert evaluate(est, gt).rms_deg == pytest.approx(
+            evaluate(est[perm], gt[perm]).rms_deg, abs=1e-12
         )
 
 

@@ -14,6 +14,7 @@ from rotavg.solver import (
     objective,
     write_trace_csv,
 )
+from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import EdgeMeasurement, ViewGraph, assemble_blocks
 
 
@@ -217,6 +218,19 @@ class TestAcdSolve:
             res = acd_solve(nb, SolverConfig(mode="iso", max_sweeps=3), make_init("zeros", 4))
         for r in res.rotations:
             assert so3.is_rotation(r)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_applies_coordinate_update(self, seed):
+        """The update a sweep applies is coordinate_update, bit for bit."""
+        scene = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=seed))
+        nb = assemble_blocks(scene.graph, "aniso")
+        init = make_init("random", 30, seed=seed)
+        res = acd_solve(nb, SolverConfig(max_sweeps=1, shuffle_seed=seed), init)
+        r = init.copy()
+        for k in np.random.default_rng([seed, 0]).permutation(30):
+            r[k] = coordinate_update(nb, r, k)
+        assert np.array_equal(res.rotations, r)
+        assert res.objective_trace == [objective(nb, r)]
 
     def test_trace_csv(self, tmp_path):
         res = SolveResult(

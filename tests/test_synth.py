@@ -1,7 +1,5 @@
 """Tests for synthetic scene generation and the tangent-space noise model."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from rotavg.synth import (
     perturb_hessian,
     perturbed_graph,
     sample_hessian,
-    write_manifest,
 )
 from rotavg.viewgraph import chain_init, spanning_tree
 
@@ -185,12 +182,3 @@ class TestGenerateScene:
         for orig, pert in zip(sc.graph.edges, pg.edges):
             np.testing.assert_array_equal(orig.rel, pert.rel)
             assert not np.allclose(orig.hessian, pert.hessian)
-
-    def test_manifest(self, tmp_path):
-        spec = SceneSpec(kind="loop", n=10, seed=9)
-        path = tmp_path / "scene.json"
-        write_manifest(spec, path)
-        data = json.loads(path.read_text())["scene_spec"]
-        assert data["kind"] == "loop"
-        assert data["n"] == 10
-        assert data["seed"] == 9

@@ -48,6 +48,13 @@ class TestEdgeMeasurement:
         with pytest.raises(ValueError, match="PSD"):
             EdgeMeasurement(0, 1, np.eye(3), np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((2, 2), np.inf)])
+    def test_rejects_nonfinite_hessian(self, entry, value):
+        h = np.eye(3)
+        h[entry] = h[entry[::-1]] = value
+        with pytest.raises(ValueError, match=r"edge \(0,1\): Hessian not finite"):
+            EdgeMeasurement(0, 1, np.eye(3), h)
+
 
 class TestViewGraph:
     def test_rejects_out_of_range_vertex(self):
@@ -65,6 +72,14 @@ class TestViewGraph:
         assert not g.is_connected()
         g2 = ViewGraph(3, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(1, 2, np.eye(3))])
         assert g2.is_connected()
+
+    def test_edge_index_arrays(self):
+        g = ViewGraph(4, [EdgeMeasurement(1, 3, np.eye(3)), EdgeMeasurement(0, 2, np.eye(3))])
+        for arr, want in ((g.i_idx, [1, 0]), (g.j_idx, [3, 2])):
+            assert arr.dtype == np.intp
+            np.testing.assert_array_equal(arr, want)
+        empty = ViewGraph(3)
+        assert empty.i_idx.shape == empty.j_idx.shape == (0,)
 
     def test_has_hessians(self):
         with_h = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3), 2 * np.eye(3))])
@@ -98,6 +113,18 @@ class TestAnisotropicWeight:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             anisotropic_weight(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1.0]]))
+
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(6)
+        hs = np.stack([random_spd(rng) for _ in range(5)])
+        got = anisotropic_weight(hs)
+        for h, m in zip(hs, got):
+            np.testing.assert_array_equal(m, anisotropic_weight(h))
+
+    def test_rejects_asymmetric_in_stack(self):
+        hs = np.stack([np.eye(3), np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1.0]])])
+        with pytest.raises(ValueError, match="symmetric"):
+            anisotropic_weight(hs)
 
 
 class TestClampPsd:
@@ -164,6 +191,20 @@ class TestAssembleBlocks:
         g = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3))])
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             assemble_blocks(g, "aniso")
+
+    @pytest.mark.parametrize("mode", ["iso", "aniso"])
+    def test_matches_per_edge_products(self, mode):
+        rng = np.random.default_rng(7)
+        pairs = [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)]
+        g = ViewGraph(
+            4, [EdgeMeasurement(i, j, so3.random_rotation(rng), random_spd(rng)) for i, j in pairs]
+        )
+        nb = assemble_blocks(g, mode)
+        np.testing.assert_array_equal(nb.i_idx, [i for i, _ in pairs])
+        np.testing.assert_array_equal(nb.j_idx, [j for _, j in pairs])
+        for e, edge in enumerate(g.edges):
+            m = anisotropic_weight(edge.hessian) if mode == "aniso" else np.eye(3)
+            np.testing.assert_array_equal(nb.lower[e], m @ edge.rel)
 
     def test_rejects_unknown_mode(self):
         g = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3))])
@@ -242,7 +283,40 @@ class TestChainInit:
             assert so3.is_rotation(r)
 
 
+IDENTITY = " ".join(str(v) for v in np.eye(3).ravel())
+NAN_OFF_DIAGONAL = "1 nan 0 nan 1 0 0 0 1"
+
+
 class TestFileIO:
+    @pytest.mark.parametrize(
+        "load, text, match",
+        [
+            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 nan 0 0 0 1 0 0 0 1\n", "line 2: rotation off SO"),
+            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 inf 0 0 0 1 0 0 0 1\n", "line 2: rotation off SO"),
+            (load_view_graph, f"VGRAPH 1 2\nEDGE 0 1 {IDENTITY} H {NAN_OFF_DIAGONAL}\n",
+             "line 2: edge \\(0,1\\): Hessian not finite"),
+            (load_view_graph, f"VGRAPH 1 -3\nEDGE 0 1 {IDENTITY}\n", "line 1: camera count -3"),
+            (load_view_graph, "VGRAPH 1 0\n", "line 1: camera count 0"),
+            (load_view_graph, f"VGRAPH 1 2\nVGRAPH 1 3\nEDGE 0 2 {IDENTITY}\n",
+             "line 2: second VGRAPH"),
+            (load_rotations, f"ROT 0 {IDENTITY}\nROT -1 {IDENTITY}\n", "line 2: negative camera id"),
+            (load_rotations, f"ROT 0 {IDENTITY}\nROT x {IDENTITY}\n", "line 2: invalid literal"),
+            (load_rotations, f"ROT 0 {IDENTITY}\nROT 1 {IDENTITY.replace('1.0', 'nan', 1)}\n",
+             "line 2: rotation off SO"),
+            (load_rotations, "ROT 0 -inf 0 0 0 1 0 0 0 1\n", "line 1: rotation off SO"),
+        ],
+        ids=[
+            "vg_nan_rotation", "vg_inf_rotation", "vg_nan_hessian", "vg_negative_count",
+            "vg_zero_count", "vg_second_header", "rot_negative_id", "rot_non_integer_id",
+            "rot_nan_rotation", "rot_inf_rotation",
+        ],
+    )
+    def test_malformed_input_names_line(self, tmp_path, load, text, match):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=match):
+            load(path)
+
     def make_graph(self, rng, with_hessians=True):
         edges = []
         for i, j in [(0, 1), (1, 2), (0, 2)]:
