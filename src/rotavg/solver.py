@@ -7,10 +7,12 @@ subproblem globally; sweeps visit cameras in a fresh seeded shuffle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from . import so3
 from .viewgraph import ConnectionBlocks
@@ -64,9 +66,10 @@ def objective(nb: ConnectionBlocks, r: np.ndarray) -> float:
     """
     if nb.num_edges == 0:
         return 0.0
-    ri = r[nb.i_idx]  # (E,3,3)
-    rj = r[nb.j_idx]
-    prod = rj @ np.transpose(ri, (0, 2, 1))
+    # R_i^T gathered into contiguous blocks makes the stacked matmul about
+    # 3x faster than on a transposed view, with the same result.
+    ri_t = np.transpose(r, (0, 2, 1)).take(nb.i_idx, axis=0)
+    prod = r.take(nb.j_idx, axis=0) @ ri_t
     return -2.0 * float(np.einsum("eab,eab->", nb.lower, prod))
 
 
@@ -88,24 +91,32 @@ def _block_update(indices, coeffs, r, k) -> np.ndarray | None:
     """Closed-form minimizer for camera k given the others, or None.
 
     Gathers G = sum over neighbors m of N_{m,k}^T R_m and returns its SO(3)
-    projection U diag(1, 1, sign det(U V^T)) V^T from the SVD G = U S V^T.
-    Returns None when G is (near) zero, as for a camera whose neighbors are
-    all still unassigned.
+    projection U diag(1, 1, sign det(U V^T)) V^T from the SVD G = U S V^T,
+    taken by LAPACK gesdd directly (the routine np.linalg.svd wraps, without
+    its per-call overhead). Returns None when G is (near) zero, as for a
+    camera whose neighbors are all still unassigned.
+
+    Raises:
+        np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite G.
     """
-    g = coeffs[k] @ r[indices[k]].reshape(-1, 3)
-    u, s, vt = np.linalg.svd(g)
+    g = coeffs[k] @ r.take(indices[k], axis=0).reshape(-1, 3)
+    u, s, vt, info = dgesdd(g)
+    # gesdd reports a NaN input as an illegal argument and returns s = 0, so
+    # this must come before the zero test.
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
     if s[0] < 1e-12:
         return None
-    if _det3(u) * _det3(vt) < 0.0:
+    if _det3(u.tolist()) * _det3(vt.tolist()) < 0.0:
         u[:, 2] = -u[:, 2]
     return u @ vt
 
 
-def _det3(m: np.ndarray) -> float:
+def _det3(m: list[list[float]]) -> float:
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 
@@ -138,10 +149,10 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     status = "max_sweeps_reached"
     sweeps = 0
     # Blocks equal to zero are "unassigned" (the permitted zero-init state).
-    assigned = np.array([np.any(blk) for blk in r])
-    seeded = bool(assigned.any())
+    assigned = np.any(r, axis=(1, 2)).tolist()
+    seeded = any(assigned)
 
-    two_sqrt2 = 2.0 * np.sqrt(2.0)
+    two_sqrt2 = 2.0 * math.sqrt(2.0)
 
     def update(k: int) -> float:
         """Apply camera k's block update; returns its angle in degrees.
@@ -167,9 +178,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             return -1.0
         if assigned[k]:
             # Geodesic step from the chordal gap: |R1 - R2|_F = 2*sqrt(2)*sin(theta/2)
-            d = new_rk - r[k]
-            half_sin = min(1.0, np.sqrt((d * d).sum()) / two_sqrt2)
-            step = np.degrees(2.0 * np.arcsin(half_sin))
+            gap = math.dist(new_rk.ravel().tolist(), r[k].ravel().tolist())
+            step = math.degrees(2.0 * math.asin(min(1.0, gap / two_sqrt2)))
         else:
             step = 180.0
             assigned[k] = True
@@ -178,7 +188,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
 
     for sweep in range(cfg.max_sweeps):
         rng = np.random.default_rng([cfg.shuffle_seed, sweep])
-        order = rng.permutation(n)
+        order = rng.permutation(n).tolist()
         max_step = 0.0
         for k in order:
             step = update(k)
@@ -186,7 +196,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
                 max_step = step
         # Completion passes: chain any still-unassigned vertices within this
         # sweep so the whole stack is valid before convergence is judged.
-        while not assigned.all():
+        while not all(assigned):
             progress = False
             for k in order:
                 if not assigned[k] and update(k) >= 0.0:
@@ -194,7 +204,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             if not progress:
                 # No unassigned vertex touches the assigned set: the graph is
                 # disconnected, so seed the next component and keep chaining.
-                k = int(order[np.flatnonzero(~assigned[order])[0]])
+                k = next(v for v in order if not assigned[v])
                 warnings.warn(
                     f"vertex {k} is unreachable from the seeded component; "
                     "starting a new identity seed"

@@ -38,15 +38,26 @@ class EdgeMeasurement:
             raise ValueError(f"self-edge at vertex {self.i}")
         if self.i > self.j:
             raise ValueError(f"edge ({self.i},{self.j}) not in canonical i<j order")
+        rel = np.asarray(self.rel, dtype=float)
+        if rel.shape != (3, 3):
+            raise ValueError(
+                f"edge ({self.i},{self.j}): relative rotation has shape {rel.shape}, "
+                "expected (3, 3)"
+            )
+        if not _all_finite(rel):
+            raise ValueError(f"edge ({self.i},{self.j}): relative rotation not finite")
         if self.hessian is not None:
             h = np.asarray(self.hessian, dtype=float)
-            asym = np.linalg.norm(h - h.T)
-            if not math.isfinite(asym):  # a NaN or inf entry makes h - h.T non-finite
+            if not _all_finite(h):
                 raise ValueError(f"edge ({self.i},{self.j}): Hessian not finite")
-            if asym > SYMMETRY_TOL:
+            if np.linalg.norm(h - h.T) > SYMMETRY_TOL:
                 raise ValueError(f"edge ({self.i},{self.j}): Hessian not symmetric")
             if np.linalg.eigvalsh(h).min() < -SYMMETRY_TOL:
                 raise ValueError(f"edge ({self.i},{self.j}): Hessian not PSD")
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    return all(map(math.isfinite, m.ravel().tolist()))
 
 
 @dataclass
@@ -353,6 +364,8 @@ def load_view_graph(path) -> ViewGraph:
 
 
 def _validated_rotation(m: np.ndarray, lineno: int) -> np.ndarray:
+    if not _all_finite(m):
+        raise GraphFormatError(f"line {lineno}: rotation off SO(3): entry not finite")
     err = np.linalg.norm(m.T @ m - np.eye(3))
     det_err = abs(np.linalg.det(m) - 1.0)
     if not (err <= OFF_MANIFOLD_TOL and det_err <= OFF_MANIFOLD_TOL):  # NaN fails too

@@ -15,7 +15,7 @@ from rotavg.solver import (
     write_trace_csv,
 )
 from rotavg.synth import SceneSpec, generate_scene
-from rotavg.viewgraph import EdgeMeasurement, ViewGraph, assemble_blocks
+from rotavg.viewgraph import ConnectionBlocks, EdgeMeasurement, ViewGraph, assemble_blocks
 
 
 def consistent_graph(n, rng, p=1.0, hessian=None):
@@ -33,6 +33,12 @@ def consistent_graph(n, rng, p=1.0, hessian=None):
 def random_spd(rng):
     v = so3.random_rotation(rng)
     return v @ np.diag(rng.uniform(1.0, 10.0, 3)) @ v.T
+
+
+def nan_block_path():
+    """Path 0-1-2 whose (1,2) connection block is all NaN."""
+    lower = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+    return ConnectionBlocks(3, np.array([0, 1]), np.array([1, 2]), lower)
 
 
 class TestSolverConfig:
@@ -140,8 +146,19 @@ class TestCoordinateUpdate:
             r[k] = coordinate_update(nb, r, k)
             assert objective(nb, r) <= before + 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nan_block_raises(self, k):
+        """A failed SVD raises; it is not read as an all-zero gathered term."""
+        with pytest.raises(np.linalg.LinAlgError):
+            coordinate_update(nan_block_path(), make_init("identity", 3), k)
+
 
 class TestAcdSolve:
+    @pytest.mark.parametrize("init", ["zeros", "identity"])
+    def test_nan_block_raises(self, init):
+        with pytest.raises(np.linalg.LinAlgError):
+            acd_solve(nan_block_path(), SolverConfig(max_sweeps=2), make_init(init, 3))
+
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(6)
         g, gt = consistent_graph(12, rng, hessian=None)

@@ -1,5 +1,7 @@
 """Tests for the view-graph data model, block assembly, trees, and file I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,25 @@ class TestEdgeMeasurement:
 
     @pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((2, 2), np.inf)])
     def test_rejects_nonfinite_hessian(self, entry, value):
+        """Rejected before any arithmetic on the Hessian, so numpy warns nothing."""
         h = np.eye(3)
         h[entry] = h[entry[::-1]] = value
-        with pytest.raises(ValueError, match=r"edge \(0,1\): Hessian not finite"):
-            EdgeMeasurement(0, 1, np.eye(3), h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"edge \(0,1\): Hessian not finite"):
+                EdgeMeasurement(0, 1, np.eye(3), h)
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 2), np.inf), ((2, 1), -np.inf)])
+    def test_rejects_nonfinite_rel(self, entry, value):
+        rel = np.eye(3)
+        rel[entry] = value
+        with pytest.raises(ValueError, match=r"edge \(0,1\): relative rotation not finite"):
+            EdgeMeasurement(0, 1, rel)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (9,), (3, 3, 1)])
+    def test_rejects_non_3x3_rel(self, shape):
+        with pytest.raises(ValueError, match=r"edge \(1,4\): relative rotation has shape"):
+            EdgeMeasurement(1, 4, np.ones(shape))
 
 
 class TestViewGraph:
@@ -304,18 +321,23 @@ class TestFileIO:
             (load_rotations, f"ROT 0 {IDENTITY}\nROT 1 {IDENTITY.replace('1.0', 'nan', 1)}\n",
              "line 2: rotation off SO"),
             (load_rotations, "ROT 0 -inf 0 0 0 1 0 0 0 1\n", "line 1: rotation off SO"),
+            (load_view_graph, f"VGRAPH 1 2\nEDGE 0 1 {IDENTITY} H inf 0 0 0 1 0 0 0 1\n",
+             "line 2: edge \\(0,1\\): Hessian not finite"),
         ],
         ids=[
             "vg_nan_rotation", "vg_inf_rotation", "vg_nan_hessian", "vg_negative_count",
             "vg_zero_count", "vg_second_header", "rot_negative_id", "rot_non_integer_id",
-            "rot_nan_rotation", "rot_inf_rotation",
+            "rot_nan_rotation", "rot_inf_rotation", "vg_inf_hessian",
         ],
     )
     def test_malformed_input_names_line(self, tmp_path, load, text, match):
+        """Rejected with the line number, and without numpy warnings on the way."""
         path = tmp_path / "input.txt"
         path.write_text(text)
-        with pytest.raises(GraphFormatError, match=match):
-            load(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match=match):
+                load(path)
 
     def make_graph(self, rng, with_hessians=True):
         edges = []
