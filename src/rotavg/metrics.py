@@ -25,25 +25,21 @@ def gauge_align(est: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Remove the global rotation ambiguity against the ground truth.
 
     Post-multiplies every estimate by Q, the SO(3) projection of
-    sum_i R_i^T R*_i. A degenerate sum falls back to the identity.
+    sum_i R_i^T R*_i. A degenerate (near-zero) sum falls back to the identity.
     """
     est = np.asarray(est, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if est.shape != gt.shape:
         raise ValueError(f"stack shapes differ: {est.shape} vs {gt.shape}")
-    acc = np.einsum("nba,nbc->ac", est, gt)  # sum R_i^T R*_i
-    if np.linalg.svd(acc, compute_uv=False)[0] < 1e-12:
+    q = so3.nearest_rotation(np.einsum("nba,nbc->ac", est, gt))  # sum R_i^T R*_i
+    if q is None:
         warnings.warn("degenerate alignment sum; using identity gauge")
         q = np.eye(3)
-    else:
-        q = so3.project_so3(acc)
     return est @ q
 
 
 def per_camera_errors_deg(aligned: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    return np.array(
-        [so3.angular_distance_deg(a, b) for a, b in zip(aligned, gt)]
-    )
+    return so3.angular_distance_deg(aligned, gt)
 
 
 def auc(errors_deg, n_deg: float) -> float:

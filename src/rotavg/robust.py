@@ -8,7 +8,7 @@ camera 0 pinned for gauge. Steps are halved on cost increase so the robust
 cost trace is non-increasing.
 
 Every per-edge and per-camera quantity is computed as array code: residuals
-and the retraction use the batched SO(3) maps, the Hessians are clamped and
+and the retraction use the stacked SO(3) maps, the Hessians are clamped and
 whitened in one batched call each, and the normal equations are assembled
 from edge index arrays and solved by conjugate gradients with a block-Jacobi
 (inverted 3x3 diagonal block) preconditioner, after Agarwal et al., "Bundle
@@ -107,7 +107,7 @@ class _EdgeModel:
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""
         rj_t = np.swapaxes(r[self.j_idx], 1, 2)
-        return so3.log_so3_batch(rj_t @ self.rel @ r[self.i_idx])
+        return so3.log_so3(rj_t @ self.rel @ r[self.i_idx])
 
     def whitened_norms(self, r: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         """|Dn eps| per edge, eps the residual rotated back to the edge frame."""
@@ -233,7 +233,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
 
         halvings = 0
         while True:
-            r_new = r @ so3.exp_so3_batch(delta)
+            r_new = r @ so3.exp_so3(delta)
             omegas_new = model.residuals(r_new)
             cost_new = robust_cost(model.whitened_norms(r_new, omegas_new), tau)
             if cost_new <= cost + 1e-12 or halvings >= MAX_HALVINGS:

@@ -1,162 +1,168 @@
 """SO(3) primitives: projection, exponential/logarithm maps, distances, sampling.
 
 All functions operate on plain numpy arrays. Rotation matrices are 3x3,
-tangent vectors are length-3 axis-angle vectors in radians. Angles at API
-boundaries of the rest of the library are expressed in degrees; everything
-here is radians unless the name says otherwise.
+tangent vectors are length-3 axis-angle vectors in radians. The maps, the
+distance and `hat` take stacks over any leading axes and apply one
+arithmetic to every row, so a stack equals its rows mapped one at a time.
+Angles at API boundaries of the rest of the library are expressed in
+degrees; everything here is radians unless the name says otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 _SMALL_ANGLE = 1e-6
+_NEAR_PI = 1e-4
 _DEGENERATE_SV = 1e-12
 
 ROTATION_ORTHO_TOL = 1e-9
 ROTATION_DET_TOL = 1e-9
 
+_EYE = np.eye(3)
+# hat(omega) = omega @ _HAT, reshaped: each entry is one +-component of omega
+# plus exact zeros, so the product is exact.
+_HAT = np.zeros((3, 9))
+_HAT[[0, 1, 2, 0, 1, 2], [7, 2, 3, 5, 6, 1]] = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+
 
 def hat(omega: np.ndarray) -> np.ndarray:
-    """Skew-symmetric (cross-product) matrix of a 3-vector."""
-    x, y, z = np.asarray(omega, dtype=float).reshape(3)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric (cross-product) matrices of finite vectors: (..., 3) to (..., 3, 3)."""
+    omega = np.asarray(omega, dtype=float)
+    return (omega @ _HAT).reshape(omega.shape[:-1] + (3, 3))
 
 
-def is_rotation(m: np.ndarray, tol: float = ROTATION_ORTHO_TOL) -> bool:
-    """Check orthonormality and det(m) = +1 within `tol`."""
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, rounded as np.linalg.norm rounds one vector."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def is_rotation(m: np.ndarray) -> bool:
+    """Check orthonormality and det(m) = +1, each within its tolerance."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    if np.linalg.norm(m.T @ m - np.eye(3)) > tol:
+    if np.linalg.norm(m.T @ m - np.eye(3)) > ROTATION_ORTHO_TOL:
         return False
     return abs(np.linalg.det(m) - 1.0) <= ROTATION_DET_TOL
 
 
-def project_so3(m: np.ndarray) -> np.ndarray:
-    """Project a 3x3 matrix onto SO(3).
+def nearest_rotation(m: np.ndarray) -> np.ndarray | None:
+    """Frobenius-nearest rotation to a finite 3x3 matrix, or None if m is (near) zero.
 
-    Returns U diag(1, 1, det(UV^T)) V^T from the SVD m = U S V^T, the
-    Frobenius-nearest rotation whenever the two smallest singular values do
-    not sum to zero. A (near-)zero input, as produced by the all-zeros solver
-    initialization, maps to the identity.
+    Returns U diag(1, 1, sign det(U V^T)) V^T from the SVD m = U S V^T, taken
+    from LAPACK directly (without np.linalg's per-call overhead). This is the
+    library's one SO(3) projection: `project_so3`, the coordinate update and
+    the gauge alignment all call it.
 
     Raises:
-        ValueError: if `m` contains non-finite entries.
+        np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite m.
+    """
+    u, s, vt, info = dgesdd(m)
+    # LAPACK reports a NaN input as an illegal argument and returns s = 0, so
+    # this must come before the zero test.
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if s[0] < _DEGENERATE_SV:
+        return None
+    if _det3(u.tolist()) * _det3(vt.tolist()) < 0.0:
+        u[:, 2] = -u[:, 2]
+    return u @ vt
+
+
+def _det3(m: list[list[float]]) -> float:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def project_so3(m: np.ndarray) -> np.ndarray:
+    """Project a 3x3 matrix onto SO(3) with `nearest_rotation`.
+
+    A (near-)zero input, as produced by the all-zeros solver initialization,
+    maps to the identity.
+
+    Raises:
+        ValueError: if `m` is not 3x3 or contains non-finite entries.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite entries in projection input")
-    u, s, vt = np.linalg.svd(m)
-    if s[0] < _DEGENERATE_SV:
-        return np.eye(3)
-    d = np.linalg.det(u @ vt)
-    return (u * np.array([1.0, 1.0, d])) @ vt
+    q = nearest_rotation(m)
+    return np.eye(3) if q is None else q
 
 
 def exp_so3(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues map: rotation about axis omega/|omega| by angle |omega|.
+    """Rodrigues map (..., 3) to (..., 3, 3): rotation about omega/|omega| by |omega|.
 
     Uses series coefficients below the small-angle threshold so the map is
     smooth through zero.
+
+    Raises:
+        ValueError: if `omega` contains non-finite entries.
     """
-    omega = np.asarray(omega, dtype=float).reshape(3)
-    if not np.all(np.isfinite(omega)):
+    omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
         raise ValueError("non-finite tangent vector")
-    theta = float(np.linalg.norm(omega))
+    theta = _norm(omega)[..., None, None]
+    # libm pow, which Python's float ** also calls, so generated scenes keep their bits.
+    theta2 = np.float_power(theta, 2.0)
+    small = theta < _SMALL_ANGLE
+    safe = theta + small  # 1 + theta where small: no 0/0
+    a = np.sin(safe) / safe
+    b = (1.0 - np.cos(safe)) / (theta2 + small)
+    if small.any():
+        a = np.where(small, 1.0 - theta2 / 6.0, a)
+        b = np.where(small, 0.5 - theta2 / 24.0, b)
     k = hat(omega)
-    k2 = k @ k
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * k2
+    return _EYE + a * k + b * (k @ k)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
-    """Inverse of exp_so3, returning the canonical representative |omega| <= pi.
+    """Inverse of exp_so3, (..., 3, 3) to (..., 3), with |omega| <= pi.
 
-    Near theta = pi the axis is recovered from the diagonal of (R + I)/2
-    (largest-diagonal pivot); the sign convention there makes the component
-    with the largest |axis| entry nonnegative.
+    The angle is atan2(|w|/2, (tr R - 1)/2) with w = vee(R - R^T), accurate
+    over the whole range. Within 1e-4 of theta = pi the axis is the column of
+    (R + R^T)/2 - cos(theta) I = (1 - cos(theta)) a a^T with the largest
+    diagonal entry, signed to agree with w; at theta = pi exactly (w = 0)
+    that makes the axis entry of largest magnitude positive.
+
+    Raises:
+        ValueError: if `r` contains non-finite entries.
     """
     r = np.asarray(r, dtype=float)
-    cos_theta = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_theta))
-
-    if theta < _SMALL_ANGLE:
-        # log(R) ~ (R - R^T)/2 to first order
-        w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        return 0.5 * w * (1.0 + theta**2 / 6.0)
-
-    if np.pi - theta > 1e-4:
-        w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        return w * (theta / (2.0 * np.sin(theta)))
-
-    # Near pi: R ~ I + 2 sin^2(theta/2) (aa^T - I), so (R + I)/2 ~ aa^T.
-    a = 0.5 * (r + np.eye(3))
-    idx = int(np.argmax(np.diag(a)))
-    axis = np.empty(3)
-    axis[idx] = np.sqrt(max(a[idx, idx], 0.0))
-    denom = max(axis[idx], _DEGENERATE_SV)
-    axis[(idx + 1) % 3] = a[idx, (idx + 1) % 3] / denom
-    axis[(idx + 2) % 3] = a[idx, (idx + 2) % 3] / denom
-    axis /= max(np.linalg.norm(axis), _DEGENERATE_SV)
-    # Fix the sign using the skew part where it is informative.
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if np.dot(w, axis) < 0.0:
-        axis = -axis
-    return theta * axis
-
-
-def exp_so3_batch(omegas: np.ndarray) -> np.ndarray:
-    """exp_so3 over a leading axis: (k, 3) tangent vectors to (k, 3, 3) rotations.
-
-    Uses the same series coefficients as exp_so3 below the small-angle threshold.
-    """
-    omegas = np.asarray(omegas, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(omegas)):
-        raise ValueError("non-finite tangent vector")
-    theta = np.linalg.norm(omegas, axis=1)
-    x, y, z = omegas.T
-    zero = np.zeros_like(x)
-    k = np.stack(
-        [np.stack([zero, -z, y], 1), np.stack([z, zero, -x], 1), np.stack([-y, x, zero], 1)], 1
+    if not np.isfinite(r).all():
+        raise ValueError("non-finite rotation matrix")
+    w = np.stack(  # vee(R - R^T) = 2 sin(theta) axis
+        [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]], -1
     )
+    cos_theta = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    theta = np.arctan2(0.5 * _norm(w), cos_theta)
     small = theta < _SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
-
-
-def log_so3_batch(r: np.ndarray) -> np.ndarray:
-    """log_so3 over a leading axis: (k, 3, 3) rotations to (k, 3) tangent vectors.
-
-    Keeps log_so3's branches: the series below the small-angle threshold and,
-    for the rows within 1e-4 of theta = pi, log_so3's diagonal-pivot axis.
-    """
-    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)
-    cos_theta = np.clip((np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    w = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], 1)
-    small = theta < _SMALL_ANGLE
-    near_pi = np.pi - theta <= 1e-4
+    near_pi = np.pi - theta <= _NEAR_PI
     safe = np.where(small | near_pi, 1.0, theta)
-    scale = np.where(small, 0.5 * (1.0 + theta**2 / 6.0), safe / (2.0 * np.sin(safe)))
-    out = w * scale[:, None]
-    for k in np.flatnonzero(near_pi):
-        out[k] = log_so3(r[k])
+    series = 0.5 * (1.0 + theta * theta / 6.0)
+    out = w * np.where(small, series, safe / (2.0 * np.sin(safe)))[..., None]
+    if near_pi.any():
+        rp = r[near_pi]
+        sym = 0.5 * (rp + np.swapaxes(rp, -1, -2)) - cos_theta[near_pi, None, None] * _EYE
+        pivot = np.argmax(np.diagonal(sym, axis1=-2, axis2=-1), axis=-1)
+        axis = sym[np.arange(len(pivot)), pivot]  # (1 - cos(theta)) a a_pivot, a_pivot != 0
+        sign = np.where(np.einsum("ka,ka->k", w[near_pi], axis) < 0.0, -1.0, 1.0)
+        out[near_pi] = (sign * theta[near_pi] / _norm(axis))[:, None] * axis
     return out
 
 
-def angular_distance_deg(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic distance |log(a^T b)| between two rotations, in degrees."""
-    return float(np.degrees(np.linalg.norm(log_so3(np.asarray(a).T @ b))))
+def angular_distance_deg(a: np.ndarray, b: np.ndarray):
+    """Geodesic distance |log(a^T b)| in degrees; a float, or an array for stacks."""
+    a = np.asarray(a, dtype=float)
+    d = np.degrees(_norm(log_so3(np.swapaxes(a, -1, -2) @ b)))
+    return float(d) if d.ndim == 0 else d
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from . import so3
 from .viewgraph import ConnectionBlocks
@@ -91,33 +90,13 @@ def _block_update(indices, coeffs, r, k) -> np.ndarray | None:
     """Closed-form minimizer for camera k given the others, or None.
 
     Gathers G = sum over neighbors m of N_{m,k}^T R_m and returns its SO(3)
-    projection U diag(1, 1, sign det(U V^T)) V^T from the SVD G = U S V^T,
-    taken by LAPACK gesdd directly (the routine np.linalg.svd wraps, without
-    its per-call overhead). Returns None when G is (near) zero, as for a
-    camera whose neighbors are all still unassigned.
+    projection `so3.nearest_rotation(G)`: None when G is (near) zero, as for
+    a camera whose neighbors are all still unassigned.
 
     Raises:
         np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite G.
     """
-    g = coeffs[k] @ r.take(indices[k], axis=0).reshape(-1, 3)
-    u, s, vt, info = dgesdd(g)
-    # gesdd reports a NaN input as an illegal argument and returns s = 0, so
-    # this must come before the zero test.
-    if info != 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if s[0] < 1e-12:
-        return None
-    if _det3(u.tolist()) * _det3(vt.tolist()) < 0.0:
-        u[:, 2] = -u[:, 2]
-    return u @ vt
-
-
-def _det3(m: list[list[float]]) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    return so3.nearest_rotation(coeffs[k] @ r.take(indices[k], axis=0).reshape(-1, 3))
 
 
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from rotavg import so3
 
@@ -56,6 +57,11 @@ class TestProjectSO3:
             so3.project_so3(m)
 
 
+class TestNearestRotation:
+    def test_zero_matrix_is_none(self):
+        assert so3.nearest_rotation(np.zeros((3, 3))) is None
+
+
 class TestExpLog:
     def test_exp_zero(self):
         np.testing.assert_allclose(so3.exp_so3(np.zeros(3)), np.eye(3), atol=1e-15)
@@ -98,6 +104,28 @@ class TestExpLog:
             v = axis * (np.pi - 1e-3)
             np.testing.assert_allclose(so3.log_so3(so3.exp_so3(v)), v, atol=1e-8)
 
+    def test_round_trip_within_1e_4_of_pi(self):
+        omegas = np.concatenate([tangent_vectors("near_pi", seed=20), tangent_vectors("pi", 20)])
+        w = so3.log_so3(so3.exp_so3(omegas))
+        theta = np.linalg.norm(omegas, axis=1)
+        interior = theta <= np.pi - 1e-9
+        np.testing.assert_allclose(w[interior], omegas[interior], rtol=0, atol=1e-14)
+        # At theta = pi, omega and -omega are the same rotation.
+        err = np.minimum(np.linalg.norm(w - omegas, axis=1), np.linalg.norm(w + omegas, axis=1))
+        assert np.all(err[~interior] <= 1e-14)
+
+    def test_log_rejects_nonfinite(self):
+        r = np.eye(3)
+        r[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            so3.log_so3(r)
+        stack = np.stack([np.eye(3), np.eye(3)])
+        stack[1, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            so3.log_so3(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            so3.angular_distance_deg(np.eye(3), r)
+
     def test_round_trip_small_angles(self):
         rng = np.random.default_rng(10)
         for scale in (1e-12, 1e-9, 1e-7, 1e-5):
@@ -126,18 +154,26 @@ def tangent_vectors(regime, count=300, seed=0):
 
 
 class TestBatchedMaps:
-    # The batched log repeats the scalar arithmetic, so it must agree
-    # exactly; the batched exp forms K^2 with a stacked matmul, whose
-    # summation order may differ from the 3x3 product by a few ulp.
-    EXP_ATOL = 1e-14
+    """A stack equals its rows mapped one at a time, and scipy agrees."""
 
     @pytest.mark.parametrize("regime", ["random", "small", "near_pi", "pi"])
     def test_match_scalar_maps(self, regime):
         omegas = tangent_vectors(regime)
-        want_r = np.stack([so3.exp_so3(v) for v in omegas])
-        np.testing.assert_allclose(so3.exp_so3_batch(omegas), want_r, rtol=0, atol=self.EXP_ATOL)
-        want_w = np.stack([so3.log_so3(r) for r in want_r])
-        np.testing.assert_array_equal(so3.log_so3_batch(want_r), want_w)
+        rots = so3.exp_so3(omegas)
+        np.testing.assert_array_equal(rots, np.stack([so3.exp_so3(v) for v in omegas]))
+        want = Rotation.from_rotvec(omegas).as_matrix()
+        np.testing.assert_allclose(rots, want, rtol=0, atol=1e-14)
+        logs = so3.log_so3(rots)
+        np.testing.assert_array_equal(logs, np.stack([so3.log_so3(r) for r in rots]))
+        theta = np.linalg.norm(omegas, axis=1)
+        interior = theta <= np.pi - 1e-9
+        np.testing.assert_allclose(
+            logs[interior], Rotation.from_matrix(rots[interior]).as_rotvec(), rtol=0, atol=1e-11
+        )
+        # Where log is two-valued (theta = pi), it must still invert exp.
+        np.testing.assert_allclose(
+            so3.exp_so3(logs[~interior]), rots[~interior], rtol=0, atol=1e-14
+        )
 
     def test_mixed_regimes_in_one_stack(self):
         regimes = ["pi", "random", "small", "near_pi"]
@@ -145,9 +181,17 @@ class TestBatchedMaps:
             [tangent_vectors(k, count=50, seed=s) for s, k in enumerate(regimes)]
         )
         np.random.default_rng(1).shuffle(omegas)
-        rots = np.stack([so3.exp_so3(v) for v in omegas])
+        rots = so3.exp_so3(omegas)
+        np.testing.assert_array_equal(rots, np.stack([so3.exp_so3(v) for v in omegas]))
         np.testing.assert_array_equal(
-            so3.log_so3_batch(rots), np.stack([so3.log_so3(r) for r in rots])
+            so3.log_so3(rots), np.stack([so3.log_so3(r) for r in rots])
+        )
+        # Leading axes beyond one are stacks too.
+        np.testing.assert_array_equal(
+            so3.exp_so3(omegas.reshape(10, 20, 3)), rots.reshape(10, 20, 3, 3)
+        )
+        np.testing.assert_array_equal(
+            so3.log_so3(rots.reshape(20, 10, 3, 3)), so3.log_so3(rots).reshape(20, 10, 3)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -156,11 +200,11 @@ class TestBatchedMaps:
     def test_exp_matches_scalar(self, vs):
         omegas = np.array(vs)
         want = np.stack([so3.exp_so3(v) for v in omegas])
-        np.testing.assert_allclose(so3.exp_so3_batch(omegas), want, rtol=0, atol=self.EXP_ATOL)
+        np.testing.assert_array_equal(so3.exp_so3(omegas), want)
 
     def test_exp_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            so3.exp_so3_batch(np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]))
+            so3.exp_so3(np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]))
 
 
 class TestAngularDistance:
@@ -188,6 +232,13 @@ class TestAngularDistance:
             d1 = so3.angular_distance_deg(a, b)
             d2 = so3.angular_distance_deg(q @ a @ g, q @ b @ g)
             assert abs(d1 - d2) <= 1e-8
+
+    def test_stack_matches_pairs(self):
+        a, b = np.stack(random_rotations(30, seed=21)), np.stack(random_rotations(30, seed=22))
+        d = so3.angular_distance_deg(a, b)
+        assert d.shape == (30,)
+        want = [so3.angular_distance_deg(x, y) for x, y in zip(a, b)]
+        np.testing.assert_array_equal(d, want)
 
     def test_range(self):
         rng = np.random.default_rng(14)
