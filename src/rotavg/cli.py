@@ -72,8 +72,8 @@ def cmd_solve(args) -> int:
         raise ValueError(
             "mode 'aniso' / robust 'airls' require a Hessian on every edge"
         )
-    if not graph.is_connected() and not args.per_component:
-        sizes = [len(c) for c in graph.components()]
+    sizes = [len(c) for c in graph.components()]
+    if len(sizes) > 1 and not args.per_component:
         raise ValueError(
             f"graph is disconnected (component sizes {sizes}); "
             "pass --per-component to solve components independently"
@@ -89,7 +89,7 @@ def cmd_solve(args) -> int:
     )
     robust_cfg = RobustConfig(tau_deg=args.tau_deg)
 
-    if args.per_component and not graph.is_connected():
+    if len(sizes) > 1:
         rotations = run_per_component(graph, cfg, args.robust, robust_cfg)
         timings = {}
         result = None

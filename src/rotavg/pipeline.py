@@ -9,7 +9,7 @@ import numpy as np
 
 from .robust import RefineResult, RobustConfig, robust_refine
 from .solver import SolveResult, SolverConfig, acd_solve, make_init
-from .viewgraph import EdgeMeasurement, ViewGraph, assemble_blocks, chain_init, spanning_tree
+from .viewgraph import ViewGraph, assemble_blocks, chain_init, spanning_tree
 
 
 @dataclass
@@ -67,14 +67,12 @@ def run_per_component(
     """Solve each connected component independently (gauge is per component)."""
     rotations = np.tile(np.eye(3), (graph.n, 1, 1))
     for comp in graph.components():
-        remap = {v: k for k, v in enumerate(comp)}
-        sub_edges = [
-            EdgeMeasurement(remap[e.i], remap[e.j], e.rel, e.hessian)
-            for e in graph.edges
-            if e.i in remap and e.j in remap
-        ]
-        sub = ViewGraph(len(comp), sub_edges)
-        res = run_pipeline(sub, cfg, robust_kind, robust_cfg)
-        for v, k in remap.items():
-            rotations[v] = res.rotations[k]
+        remap = np.full(graph.n, -1)
+        remap[comp] = np.arange(len(comp))
+        keep = remap[graph.i_idx] >= 0  # an edge lies in one component
+        sub = ViewGraph.from_arrays(
+            len(comp), remap[graph.i_idx[keep]], remap[graph.j_idx[keep]], graph.rel[keep],
+            None if graph.hess is None else graph.hess[keep], graph.has_hessian[keep],
+        )
+        rotations[comp] = run_pipeline(sub, cfg, robust_kind, robust_cfg).rotations
     return rotations

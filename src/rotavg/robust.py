@@ -87,9 +87,9 @@ class _EdgeModel:
             trace = np.einsum("eaa->e", h)
             bad = np.flatnonzero(~(trace > 0.0))
             if bad.size:
-                e = g.edges[bad[0]]
+                k = bad[0]
                 raise ValueError(
-                    f"edge ({e.i},{e.j}): Hessian trace is {trace[bad[0]]:g}; aniso "
+                    f"edge ({g.i_idx[k]},{g.j_idx[k]}): Hessian trace is {trace[k]:g}; aniso "
                     "refinement needs a Hessian with positive trace"
                 )
             self.h = clamp_psd(h)
@@ -145,14 +145,7 @@ def solve_normal_equations(
     n = g.n
     m = n - 1  # free cameras 1..n-1
     i_idx, j_idx = g.i_idx, g.j_idx
-    # Imported here: loading csgraph costs about 1 MB of resident memory,
-    # which runs without robust refinement need not pay.
-    from scipy.sparse import csgraph
-
-    n_comp, _ = csgraph.connected_components(
-        sp.coo_matrix((np.ones(len(i_idx)), (i_idx, j_idx)), shape=(n, n)), directed=False
-    )
-    if n_comp > 1:
+    if not g.is_connected():
         raise _singular(g)
 
     wh = np.asarray(weights, dtype=float)[:, None, None] * precisions

@@ -165,19 +165,31 @@ def angular_distance_deg(a: np.ndarray, b: np.ndarray):
     return float(d) if d.ndim == 0 else d
 
 
+def unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| over the last axis, each row rounded as np.linalg.norm rounds one vector."""
+    return v / _norm(v)[..., None]
+
+
+def quaternion_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotations of quaternions (w, x, y, z), normalized first: (..., 4) to (..., 3, 3)."""
+    q = unit(np.asarray(q, dtype=float))
+    # One quaternion runs on Python floats: the same IEEE operations, less overhead.
+    w, x, y, z = q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1], q[..., 2], q[..., 3])
+    m = np.array(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ]
+    )
+    return np.ascontiguousarray(m.transpose(*range(1, m.ndim), 0)).reshape(q.shape[:-1] + (3, 3))
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Draw from the uniform (Haar) distribution on SO(3).
 
     Uses the unit-quaternion construction: a normalized 4D Gaussian sample is
-    Haar-uniform on the quaternion sphere.
+    Haar-uniform on the quaternion sphere. `rng.standard_normal((k, 4))` fed
+    to `quaternion_rotation` gives the same k rotations as k calls.
     """
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return quaternion_rotation(rng.standard_normal(4))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .viewgraph import EdgeMeasurement, ViewGraph
+from .viewgraph import ViewGraph
 
 EIGENVALUE_LOWER_LO = 10.0
 EIGENVALUE_LOWER_HI = 100.0
@@ -48,13 +48,42 @@ class SyntheticScene:
     spec: SceneSpec
 
 
-def sample_hessian(rng: np.random.Generator) -> np.ndarray:
-    """Random SPD precision: eigenvalues U(a,b) with b ~ U(2a,100a), a ~ U(10,100)."""
+def _compose(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(V * lam) V^T over leading axes: eigenvectors and eigenvalues to a symmetric matrix."""
+    return (v * lam[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _hessian_draws(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """sample_hessian's draws: the eigenvalues, then the eigenvectors' quaternion."""
     a = rng.uniform(EIGENVALUE_LOWER_LO, EIGENVALUE_LOWER_HI)
     b = rng.uniform(2.0 * a, 100.0 * a)
-    lam = rng.uniform(a, b, size=3)
-    v = so3.random_rotation(rng)
-    return (v * lam) @ v.T
+    return rng.uniform(a, b, size=3), rng.standard_normal(4)
+
+
+def sample_hessian(rng: np.random.Generator) -> np.ndarray:
+    """Random SPD precision: eigenvalues U(a,b) with b ~ U(2a,100a), a ~ U(10,100)."""
+    lam, q = _hessian_draws(rng)
+    return _compose(so3.quaternion_rotation(q), lam)
+
+
+def _perturb_draws(lam_mean: float, sigma_deg: float, gamma: float, rng) -> np.ndarray:
+    """perturb_hessian's draws: axis (3), angle in degrees, eigenvalue increments (3).
+    A part that is off draws nothing and stays zero."""
+    d = np.zeros(7)
+    if sigma_deg > 0:
+        d[:3], d[3] = rng.standard_normal(3), rng.normal(0.0, sigma_deg)
+    if gamma > 0:
+        d[4:] = rng.uniform(0.0, gamma * lam_mean, size=3)
+    return d
+
+
+def _perturbed(lam, v, d, sigma_deg: float, gamma: float) -> np.ndarray:
+    """perturb_hessian's arithmetic on eigenpairs (lam, v) and draws d, over leading axes."""
+    if sigma_deg > 0:
+        v = so3.exp_so3(np.radians(d[..., 3])[..., None] * so3.unit(d[..., :3])) @ v
+    if gamma > 0:
+        lam = lam + d[..., 4:]
+    return _compose(v, lam)
 
 
 def perturb_hessian(
@@ -63,14 +92,17 @@ def perturb_hessian(
     """Perturb eigenvectors (random-axis rotation, N(0, sigma) degrees) and
     eigenvalues (additive U(0, gamma * mean eigenvalue))."""
     lam, v = np.linalg.eigh(np.asarray(h, dtype=float))
-    if sigma_deg > 0:
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        theta = np.radians(rng.normal(0.0, sigma_deg))
-        v = so3.exp_so3(theta * axis) @ v
-    if gamma > 0:
-        lam = lam + rng.uniform(0.0, gamma * lam.mean(), size=3)
-    return (v * lam) @ v.T
+    return _perturbed(lam, v, _perturb_draws(lam.mean(), sigma_deg, gamma, rng), sigma_deg, gamma)
+
+
+def _noisy(rel_true, h, z, noise_scale: float) -> np.ndarray:
+    """rel_true exp(noise_scale L^-T z), h = L L^T, over leading axes: cov L^-T L^-1 = h^-1."""
+    chol_t = np.linalg.cholesky(h).swapaxes(-1, -2)
+    if z.ndim == 1:  # numpy's single-vector solve is the cheaper one
+        delta = np.linalg.solve(chol_t, z)
+    else:
+        delta = np.linalg.solve(chol_t, z[..., None])[..., 0]
+    return rel_true @ so3.exp_so3(noise_scale * delta)
 
 
 def apply_noise(
@@ -82,19 +114,22 @@ def apply_noise(
     """Right-perturb a true relative rotation by N(0, h^{-1}) tangent noise."""
     if noise_scale == 0.0:
         return np.array(rel_true, copy=True)
-    chol = np.linalg.cholesky(np.asarray(h, dtype=float))
-    z = rng.standard_normal(3)
-    delta = np.linalg.solve(chol.T, z)  # cov = L^-T L^-1 = h^-1
-    return rel_true @ so3.exp_so3(noise_scale * delta)
+    return _noisy(rel_true, h, rng.standard_normal(3), noise_scale)
 
 
-def _make_edges(gt, pairs, spec, rng):
-    edges = []
-    for i, j in pairs:
-        h = sample_hessian(rng)
-        rel = apply_noise(gt[j] @ gt[i].T, h, spec.noise_scale, rng)
-        edges.append(EdgeMeasurement(i, j, rel, h))
-    return edges
+def _scene_graph(n: int, gt, i, j, noise_scale: float, rng) -> ViewGraph:
+    """The graph on edges (i, j): one loop draws every edge's Hessian, then its
+    noise, as sample_hessian and apply_noise would; the arithmetic is stacked."""
+    lam, q, z = np.empty((len(i), 3)), np.empty((len(i), 4)), np.empty((len(i), 3))
+    for k in range(len(i)):
+        lam[k], q[k] = _hessian_draws(rng)
+        if noise_scale != 0.0:
+            z[k] = rng.standard_normal(3)
+    hess = _compose(so3.quaternion_rotation(q), lam)
+    rel = gt[j] @ np.swapaxes(gt[i], 1, 2)
+    if noise_scale != 0.0:
+        rel = _noisy(rel, hess, z, noise_scale)
+    return ViewGraph.from_arrays(n, i, j, rel, hess)
 
 
 def gen_loop_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -> SyntheticScene:
@@ -108,10 +143,9 @@ def gen_loop_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -> S
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     n = spec.n
-    gt = np.stack([so3.exp_so3([0.0, 0.0, 2.0 * np.pi * k / n]) for k in range(n)])
-    pairs = [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
-    graph = ViewGraph(n, _make_edges(gt, sorted(pairs), spec, rng))
-    return SyntheticScene(graph, gt, spec)
+    gt = so3.exp_so3(np.outer(2.0 * np.pi * np.arange(n) / n, [0.0, 0.0, 1.0]))
+    i, j = np.array(sorted([(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])).T
+    return SyntheticScene(_scene_graph(n, gt, i, j, spec.noise_scale, rng), gt, spec)
 
 
 def gen_general_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -> SyntheticScene:
@@ -126,16 +160,14 @@ def gen_general_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -
         rng = np.random.default_rng(spec.seed)
     n = spec.n
     p = spec.p if spec.p is not None else rng.uniform(0.1, 1.0)
-    gt = np.stack([so3.random_rotation(rng) for _ in range(n)])
+    gt = so3.quaternion_rotation(rng.standard_normal((n, 4)))  # as n random_rotation calls
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2  # row-major index of pair (i, i + 1)
 
     for _ in range(MAX_REDRAWS):
-        mask = rng.random(n * (n - 1) // 2) < p
-        pairs = [
-            (i, j)
-            for m, (i, j) in zip(mask, ((i, j) for i in range(n) for j in range(i + 1, n)))
-            if m
-        ]
-        graph = ViewGraph(n, _make_edges(gt, pairs, spec, rng))
+        k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+        i = np.searchsorted(row_start, k, side="right") - 1
+        graph = _scene_graph(n, gt, i, k - row_start[i] + i + 1, spec.noise_scale, rng)
         if graph.is_connected():
             return SyntheticScene(graph, gt, spec)
     raise RuntimeError(
@@ -153,11 +185,11 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
 
 
 def perturbed_graph(scene: SyntheticScene, sigma_deg: float, gamma: float, seed: int) -> ViewGraph:
-    """Copy of the scene graph with every edge Hessian perturbed."""
+    """Copy of the scene graph with every edge Hessian perturbed: one stacked
+    eigendecomposition, then perturb_hessian's draws edge by edge."""
     rng = np.random.default_rng(seed)
-    edges = [
-        EdgeMeasurement(e.i, e.j, e.rel, perturb_hessian(e.hessian, sigma_deg, gamma, rng))
-        for e in scene.graph.edges
-    ]
-    return ViewGraph(scene.graph.n, edges)
-
+    g = scene.graph
+    lam, v = np.linalg.eigh(g.hessian_stack())
+    d = np.reshape([_perturb_draws(m, sigma_deg, gamma, rng) for m in lam.mean(axis=1)], (-1, 7))
+    hess = _perturbed(lam, v, d, sigma_deg, gamma)
+    return ViewGraph.from_arrays(g.n, g.i_idx, g.j_idx, g.rel, hess)

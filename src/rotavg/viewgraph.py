@@ -4,12 +4,15 @@ Conventions: edges are stored canonically with i < j and relative rotation
 R_ij such that R_ij ~ R_j R_i^T. An edge Hessian is a 3x3 symmetric PSD
 matrix expressing the precision of a right-multiplicative perturbation of
 the measured relative rotation (R_ij <- R_ij exp(delta)).
+
+A graph stores its edges as read-only arrays and checks them with one
+stacked validator; `EdgeMeasurement` is the per-edge view of the same data.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,103 +37,178 @@ class EdgeMeasurement:
     hessian: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError(f"self-edge at vertex {self.i}")
-        if self.i > self.j:
-            raise ValueError(f"edge ({self.i},{self.j}) not in canonical i<j order")
-        rel = np.asarray(self.rel, dtype=float)
-        if rel.shape != (3, 3):
-            raise ValueError(
-                f"edge ({self.i},{self.j}): relative rotation has shape {rel.shape}, "
-                "expected (3, 3)"
-            )
-        if not _all_finite(rel):
-            raise ValueError(f"edge ({self.i},{self.j}): relative rotation not finite")
-        if self.hessian is not None:
-            h = np.asarray(self.hessian, dtype=float)
-            if not _all_finite(h):
-                raise ValueError(f"edge ({self.i},{self.j}): Hessian not finite")
-            if np.linalg.norm(h - h.T) > SYMMETRY_TOL:
-                raise ValueError(f"edge ({self.i},{self.j}): Hessian not symmetric")
-            if np.linalg.eigvalsh(h).min() < -SYMMETRY_TOL:
-                raise ValueError(f"edge ({self.i},{self.j}): Hessian not PSD")
+        hess = None if self.hessian is None else np.asarray(self.hessian, dtype=float)[None]
+        rel = np.asarray(self.rel, dtype=float)[None]
+        fault = _edge_fault(_endpoints(self.i), _endpoints(self.j), rel, hess)
+        if fault is not None:
+            raise ValueError(fault[1])
 
 
-def _all_finite(m: np.ndarray) -> bool:
-    return all(map(math.isfinite, m.ravel().tolist()))
+def _endpoints(x) -> np.ndarray:
+    x = np.asarray(x).reshape(-1)
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got dtype {x.dtype}")
+    return x.astype(np.intp)
 
 
-@dataclass
+def _edge_fault(i, j, rel, hess=None, n=None) -> tuple[int, str] | None:
+    """The first invalid edge as (index, message), or None if every edge passes.
+
+    Each edge runs the checks in this order: self-edge, canonical order,
+    rotation shape and finiteness, Hessian shape, finiteness, symmetry and
+    PSD-ness, then, if n is given, vertex range and duplicates. The earliest
+    failing edge is reported with the first check it fails. A zero `hess`
+    row, which stands for an edge without a Hessian, passes.
+    """
+    every, at = np.ones(len(i), dtype=bool), "edge ({i},{j})"
+    rel_shape, h_shape = rel.shape[1:], None if hess is None else hess.shape[1:]
+    checks = [(i == j, "self-edge at vertex {i}"), (i > j, at + " not in canonical i<j order")]
+    if rel_shape != (3, 3):
+        checks.append((every, at + ": relative rotation has shape {rel}, expected (3, 3)"))
+    else:
+        checks.append((~np.isfinite(rel).all(axis=(1, 2)), at + ": relative rotation not finite"))
+    if h_shape not in (None, (3, 3)):
+        checks.append((every, at + ": Hessian has shape {hess}, expected (3, 3)"))
+    elif hess is not None:
+        finite = np.isfinite(hess).all(axis=(1, 2))
+        h = hess if finite.all() else np.where(finite[:, None, None], hess, 0.0)  # no inf - inf
+        skew = h - np.swapaxes(h, 1, 2)
+        checks += [
+            (~finite, at + ": Hessian not finite"),
+            (np.einsum("eab,eab->e", skew, skew) > SYMMETRY_TOL**2, at + ": Hessian not symmetric"),
+            (np.linalg.eigvalsh(h)[:, 0] < -SYMMETRY_TOL, at + ": Hessian not PSD"),
+        ]
+    if n is not None:
+        order = np.lexsort((j, i))  # stable: a repeat sorts after its first occurrence
+        repeat = np.zeros_like(every)
+        repeat[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+        outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        checks.append((outside, at + " outside vertex range [0,{n})"))
+        checks.append((repeat, "duplicate " + at))
+    bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(i))
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad.any(axis=0)))
+    message = checks[int(np.argmax(bad[:, k]))][1]
+    return k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape)
+
+
+class _EdgeList(Sequence):
+    """Read-only sequence of a graph's edges; each item is built on access."""
+
+    def __init__(self, g: ViewGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.i_idx)
+
+    def __getitem__(self, k):
+        ks = range(len(self))[k]
+        return [self._g._edge(m) for m in ks] if isinstance(ks, range) else self._g._edge(ks)
+
+
 class ViewGraph:
-    """n cameras plus undirected relative-rotation measurements.
+    """n cameras plus undirected relative-rotation measurements, stored as arrays.
 
-    `i_idx` and `j_idx` hold the endpoints of `edges` as (E,) index arrays,
-    built once at construction; the edge list is not to be changed afterwards.
+    `i_idx`, `j_idx` (E,) hold the edge endpoints, `rel` (E, 3, 3) the
+    relative rotations, `hess` (E, 3, 3) the Hessians or None when no edge
+    carries one, and `has_hessian` (E,) which edges do (their other rows of
+    `hess` are zero). All are read-only copies, so the edges cannot change
+    after construction. `edges` is a read-only sequence of `EdgeMeasurement`.
     """
 
-    n: int
-    edges: list[EdgeMeasurement] = field(default_factory=list)
-    i_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    j_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, edges: Iterable[EdgeMeasurement] = ()):
+        edges = list(edges)
+        has_h = [e.hessian is not None for e in edges]
+        hess = [np.zeros((3, 3)) if e.hessian is None else e.hessian for e in edges]
+        rel = np.reshape([e.rel for e in edges], (-1, 3, 3))
+        hess = hess if any(has_h) else None
+        self._store(n, [e.i for e in edges], [e.j for e in edges], rel, hess, has_h)
 
-    def __post_init__(self):
-        seen = set()
-        for e in self.edges:
-            if not (0 <= e.i < self.n and 0 <= e.j < self.n):
-                raise ValueError(f"edge ({e.i},{e.j}) outside vertex range [0,{self.n})")
-            if (e.i, e.j) in seen:
-                raise ValueError(f"duplicate edge ({e.i},{e.j})")
-            seen.add((e.i, e.j))
-        self.i_idx = np.array([e.i for e in self.edges], dtype=np.intp)
-        self.j_idx = np.array([e.j for e in self.edges], dtype=np.intp)
+    @classmethod
+    def from_arrays(cls, n: int, i, j, rel, hess=None, has_hessian=None) -> ViewGraph:
+        """Graph from edge arrays, checked by the stacked validator.
+
+        `has_hessian` (E,) marks the rows of `hess` that are Hessians; by
+        default all are. Raises ValueError naming the first invalid edge.
+        """
+        g = cls.__new__(cls)
+        g._store(n, i, j, rel, hess, has_hessian)
+        return g
+
+    def _store(self, n, i, j, rel, hess, has_h, check=True):
+        self.n, self.i_idx, self.j_idx = n, _endpoints(i), _endpoints(j)
+        self.rel = np.array(rel, dtype=float)
+        self.hess = None if hess is None else np.array(hess, dtype=float)
+        has_h = np.full(len(self.i_idx), hess is not None) if has_h is None else has_h
+        self.has_hessian = np.array(has_h, dtype=bool)
+        arrays = [self.i_idx, self.j_idx, self.rel, self.has_hessian]
+        arrays += [] if self.hess is None else [self.hess]
+        if len({len(a) for a in arrays}) > 1:
+            raise ValueError(f"edge arrays disagree in length: {[len(a) for a in arrays]}")
+        if self.hess is not None:
+            self.hess[~self.has_hessian] = 0.0
+        for a in arrays:
+            a.flags.writeable = False
+        fault = self._fault() if check else None
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    def _fault(self) -> tuple[int, str] | None:
+        return _edge_fault(self.i_idx, self.j_idx, self.rel, self.hess, self.n)
+
+    def _edge(self, k: int) -> EdgeMeasurement:
+        """Edge k as an EdgeMeasurement, built without re-running the checks."""
+        e = object.__new__(EdgeMeasurement)
+        hessian = self.hess[k] if self.has_hessian[k] else None
+        e.__dict__.update(i=int(self.i_idx[k]), j=int(self.j_idx[k]), rel=self.rel[k], hessian=hessian)
+        return e
+
+    @property
+    def edges(self) -> Sequence[EdgeMeasurement]:
+        return _EdgeList(self)
 
     @property
     def has_hessians(self) -> bool:
-        return all(e.hessian is not None for e in self.edges)
+        return bool(self.has_hessian.all())
 
     def rel_stack(self) -> np.ndarray:
-        """(E, 3, 3) relative rotations, gathered from the edges on each call."""
-        return np.array([e.rel for e in self.edges], dtype=float).reshape(-1, 3, 3)
+        """(E, 3, 3) relative rotations (the stored, read-only array)."""
+        return self.rel
 
     def hessian_stack(self) -> np.ndarray:
-        """(E, 3, 3) edge Hessians, gathered from the edges on each call.
+        """(E, 3, 3) edge Hessians (the stored, read-only array).
 
         Raises:
             ValueError: naming the first edge that carries no Hessian.
         """
-        for e in self.edges:
-            if e.hessian is None:
-                raise ValueError(
-                    f"aniso mode requires a Hessian on every edge; edge "
-                    f"({e.i},{e.j}) has none"
-                )
-        return np.array([e.hessian for e in self.edges], dtype=float).reshape(-1, 3, 3)
+        if not self.has_hessians:
+            k = np.argmin(self.has_hessian)
+            raise ValueError(
+                f"aniso mode requires a Hessian on every edge; edge "
+                f"({self.i_idx[k]},{self.j_idx[k]}) has none"
+            )
+        return np.zeros((0, 3, 3)) if self.hess is None else self.hess
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest member."""
-        adj = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.i].append(e.j)
-            adj[e.j].append(e.i)
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        labels = component_labels(self.n, self.i_idx, self.j_idx)
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)] if self.n else []
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return self.n > 0 and not component_labels(self.n, self.i_idx, self.j_idx).any()
+
+
+def component_labels(n: int, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+    """(n,) component label per vertex, numbered in order of smallest member."""
+    from scipy.sparse import coo_matrix, csgraph  # here: csgraph costs about 1 MB of memory
+
+    adjacency = coo_matrix((np.ones(len(i_idx)), (i_idx, j_idx)), shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return np.argsort(np.argsort(first))[labels]
 
 
 def anisotropic_weight(h: np.ndarray) -> np.ndarray:
@@ -178,15 +256,6 @@ class ConnectionBlocks:
     @property
     def num_edges(self) -> int:
         return len(self.i_idx)
-
-    def block(self, row: int, col: int) -> np.ndarray:
-        """Directed block N_{row,col}; zero for non-edges and the diagonal."""
-        for e in range(self.num_edges):
-            if self.i_idx[e] == col and self.j_idx[e] == row:
-                return self.lower[e].copy()
-            if self.i_idx[e] == row and self.j_idx[e] == col:
-                return self.lower[e].T.copy()
-        return np.zeros((3, 3))
 
     def neighbor_tables(self):
         """Per-vertex gathered coefficients for the coordinate update.
@@ -239,11 +308,8 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
     if len(comps) != 1:
         sizes = [len(c) for c in comps]
         raise ValueError(f"graph is disconnected: component sizes {sizes}")
-    use_trace = g.has_hessians
-    ranked = sorted(
-        g.edges,
-        key=lambda e: ((-np.trace(e.hessian) if use_trace else 1.0), e.i, e.j),
-    )
+    key = -np.trace(g.hess, axis1=1, axis2=2) if g.has_hessians and g.hess is not None else 1.0
+    order = np.lexsort((g.j_idx, g.i_idx, np.broadcast_to(key, g.i_idx.shape)))
     # Kruskal with union-find.
     parent = list(range(g.n))
 
@@ -254,11 +320,11 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
         return x
 
     tree = []
-    for e in ranked:
-        ri, rj = find(e.i), find(e.j)
+    for e, i, j in zip(order.tolist(), g.i_idx[order].tolist(), g.j_idx[order].tolist()):
+        ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            tree.append(e)
+            tree.append(g._edge(e))
             if len(tree) == g.n - 1:
                 break
     return tree, 0
@@ -295,121 +361,141 @@ def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndar
     return stack
 
 
-def _fmt(values) -> str:
-    return " ".join(FLOAT_FMT % v for v in values)
+def _row_format(head: str) -> str:
+    return " ".join([head] + [FLOAT_FMT] * 9)
 
 
 def save_view_graph(g: ViewGraph, path) -> None:
     """Write the text format: VGRAPH header plus one EDGE line per edge."""
+    plain = _row_format("EDGE %d %d")
+    with_h = _row_format(plain + " H")
+    hess = np.zeros_like(g.rel) if g.hess is None else g.hess
+    rows = zip(g.i_idx.tolist(), g.j_idx.tolist(), g.rel.reshape(-1, 9).tolist(),
+               hess.reshape(-1, 9).tolist(), g.has_hessian)
+    lines = [with_h % (i, j, *r, *h) if has else plain % (i, j, *r) for i, j, r, h, has in rows]
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"VGRAPH 1 {g.n}\n")
-        for e in g.edges:
-            line = f"EDGE {e.i} {e.j} {_fmt(e.rel.ravel())}"
-            if e.hessian is not None:
-                line += f" H {_fmt(np.asarray(e.hessian).ravel())}"
-            f.write(line + "\n")
+        f.write("\n".join([f"VGRAPH 1 {g.n}"] + lines) + "\n")
+
+
+def _records(path):
+    """(line number, tokens) of each line with content, comments stripped."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            tok = raw.split("#", 1)[0].split()
+            if tok:
+                yield lineno, tok
+
+
+def _checked_rotations(m: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Check a loaded (K, 3, 3) stack against SO(3); returns it and its first fault or None.
+
+    Rows off SO(3) by more than the rotation tolerances but by at most
+    OFF_MANIFOLD_TOL are re-projected in place.
+    """
+    finite = np.isfinite(m).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], m, np.eye(3))  # no arithmetic on inf/nan
+    err = np.linalg.norm(np.swapaxes(safe, 1, 2) @ safe - np.eye(3), axis=(1, 2))
+    det_err = np.abs(np.linalg.det(safe) - 1.0)
+    ok = finite & (err <= OFF_MANIFOLD_TOL) & (det_err <= OFF_MANIFOLD_TOL)
+    off = (err > so3.ROTATION_ORTHO_TOL) | (det_err > so3.ROTATION_DET_TOL)
+    for k in np.flatnonzero(ok & off):  # within OFF_MANIFOLD_TOL: re-project
+        m[k] = so3.project_so3(m[k])
+    if ok.all():
+        return m, None
+    k = int(np.argmin(ok))
+    if not finite[k]:
+        return m, (k, "rotation off SO(3): entry not finite")
+    return m, (k, f"rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
+                  f"(orthogonality {err[k]:.3g}, det error {det_err[k]:.3g})")
+
+
+def _raise_first(lines: list[int], row_faults, line_fault) -> None:
+    """Raise the fault on the earliest line: (row, message) row faults, a row
+    indexing `lines`, or the (line number, message) line fault; None skips."""
+    found = [(lines[k], message) for k, message in filter(None, row_faults)]
+    found += [line_fault] if line_fault else []
+    if found:
+        raise GraphFormatError("line %d: %s" % min(found))
 
 
 def load_view_graph(path) -> ViewGraph:
     """Parse the text format written by save_view_graph.
 
     Rotations off SO(3) by <= 1e-6 are re-projected; beyond that the file is
-    rejected. Errors carry the offending line number.
+    rejected. All edges are checked at once; an error names the first bad
+    line in file order.
     """
-    n = None
-    edges = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                if tok[0] == "VGRAPH":
-                    if len(tok) != 3 or tok[1] != "1":
-                        raise GraphFormatError(f"line {lineno}: bad VGRAPH header")
-                    if n is not None:
-                        raise GraphFormatError(f"line {lineno}: second VGRAPH header")
-                    n = int(tok[2])
-                    if n < 1:
-                        raise GraphFormatError(f"line {lineno}: camera count {n} is not positive")
-                elif tok[0] == "EDGE":
-                    if n is None:
-                        raise GraphFormatError(f"line {lineno}: EDGE before VGRAPH header")
-                    if len(tok) not in (12, 22) or (len(tok) == 22 and tok[12] != "H"):
-                        raise GraphFormatError(f"line {lineno}: malformed EDGE line")
-                    i, j = int(tok[1]), int(tok[2])
-                    if not (0 <= i < n and 0 <= j < n):
-                        raise GraphFormatError(
-                            f"line {lineno}: vertex id outside [0,{n})"
-                        )
-                    rel = np.array([float(v) for v in tok[3:12]]).reshape(3, 3)
-                    rel = _validated_rotation(rel, lineno)
-                    hess = None
-                    if len(tok) == 22:
-                        hess = np.array([float(v) for v in tok[13:22]]).reshape(3, 3)
-                    edges.append(EdgeMeasurement(i, j, rel, hess))
-                else:
-                    raise GraphFormatError(f"line {lineno}: unknown record {tok[0]!r}")
-            except GraphFormatError:
-                raise
-            except (ValueError, IndexError) as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from exc
+    n, ids, vals, has_h, lines, parse_fault = None, [], [], [], [], None
+    no_h = [0.0] * 9
+    for lineno, tok in _records(path):
+        try:
+            if tok[0] == "EDGE":
+                if n is None:
+                    raise GraphFormatError("EDGE before VGRAPH header")
+                if len(tok) not in (12, 22) or (len(tok) == 22 and tok[12] != "H"):
+                    raise GraphFormatError("malformed EDGE line")
+                i, j = int(tok[1]), int(tok[2])
+                if not (0 <= i < n and 0 <= j < n):
+                    raise GraphFormatError(f"edge ({i},{j}) outside vertex range [0,{n})")
+                vals.append([*map(float, tok[3:12]), *(map(float, tok[13:]) if tok[13:] else no_h)])
+                ids.append((i, j))
+                has_h.append(len(tok) == 22)
+                lines.append(lineno)
+            elif tok[0] == "VGRAPH":
+                if len(tok) != 3 or tok[1] != "1":
+                    raise GraphFormatError("bad VGRAPH header")
+                if n is not None:
+                    raise GraphFormatError("second VGRAPH header")
+                n = int(tok[2])
+                if n < 1:
+                    raise GraphFormatError(f"camera count {n} is not positive")
+            else:
+                raise GraphFormatError(f"unknown record {tok[0]!r}")
+        except ValueError as exc:
+            parse_fault = (lineno, str(exc))
+            break
     if n is None:
+        _raise_first(lines, [], parse_fault)
         raise GraphFormatError("missing VGRAPH header")
-    try:
-        return ViewGraph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
-
-
-def _validated_rotation(m: np.ndarray, lineno: int) -> np.ndarray:
-    if not _all_finite(m):
-        raise GraphFormatError(f"line {lineno}: rotation off SO(3): entry not finite")
-    err = np.linalg.norm(m.T @ m - np.eye(3))
-    det_err = abs(np.linalg.det(m) - 1.0)
-    if not (err <= OFF_MANIFOLD_TOL and det_err <= OFF_MANIFOLD_TOL):  # NaN fails too
-        raise GraphFormatError(
-            f"line {lineno}: rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
-            f"(orthogonality {err:.3g}, det error {det_err:.3g})"
-        )
-    if err > so3.ROTATION_ORTHO_TOL or det_err > so3.ROTATION_DET_TOL:
-        return so3.project_so3(m)
-    return m
+    vals = np.reshape(vals, (-1, 18))
+    rel, rot_fault = _checked_rotations(vals[:, :9].reshape(-1, 3, 3))
+    cut = len(ids) if rot_fault is None else rot_fault[0]  # later edges cannot come first
+    ids = np.reshape(ids, (-1, 2))[:cut]
+    hess = vals[:cut, 9:].reshape(-1, 3, 3) if any(has_h) else None
+    g = ViewGraph.__new__(ViewGraph)  # checked here, to name lines
+    g._store(n, ids[:, 0], ids[:, 1], rel[:cut], hess, has_h[:cut], check=False)
+    _raise_first(lines, [g._fault(), rot_fault], parse_fault)
+    return g
 
 
 def save_rotations(stack: np.ndarray, path) -> None:
     """Write absolute rotations, one ROT line per camera."""
+    rows = np.asarray(stack, dtype=float).reshape(-1, 9).tolist()
     with open(path, "w", encoding="utf-8") as f:
-        for i, r in enumerate(stack):
-            f.write(f"ROT {i} {_fmt(np.asarray(r).ravel())}\n")
+        f.writelines(_row_format("ROT %d") % (i, *r) + "\n" for i, r in enumerate(rows))
 
 
 def load_rotations(path) -> np.ndarray:
     """Read a rotation file into an (n, 3, 3) stack; ids must cover 0..n-1."""
-    rows = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
+    ids, vals, lines, parse_fault = {}, [], [], None
+    for lineno, tok in _records(path):
+        try:
             if tok[0] != "ROT" or len(tok) != 11:
-                raise GraphFormatError(f"line {lineno}: malformed ROT line")
-            try:
-                i = int(tok[1])
-                m = np.array([float(v) for v in tok[2:11]]).reshape(3, 3)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from exc
-            if i < 0:
-                raise GraphFormatError(f"line {lineno}: negative camera id {i}")
-            if i in rows:
-                raise GraphFormatError(f"line {lineno}: duplicate camera id {i}")
-            rows[i] = _validated_rotation(m, lineno)
-    if not rows:
+                raise GraphFormatError("malformed ROT line")
+            i, row = int(tok[1]), [*map(float, tok[2:11])]
+            if i < 0 or i in ids:
+                raise GraphFormatError(f"{'negative' if i < 0 else 'duplicate'} camera id {i}")
+        except ValueError as exc:
+            parse_fault = (lineno, str(exc))
+            break
+        ids[i] = len(vals)
+        vals.append(row)
+        lines.append(lineno)
+    rot, rot_fault = _checked_rotations(np.reshape(vals, (-1, 3, 3)))
+    _raise_first(lines, [rot_fault], parse_fault)
+    if not ids:
         raise GraphFormatError("empty rotation file")
-    n = max(rows) + 1
-    missing = sorted(set(range(n)) - set(rows))
+    missing = sorted(set(range(max(ids) + 1)) - set(ids))
     if missing:
         raise GraphFormatError(f"missing camera ids {missing}")
-    return np.stack([rows[i] for i in range(n)])
+    return rot[[ids[i] for i in range(len(ids))]]

@@ -1,4 +1,7 @@
-"""Shared pytest plumbing: print one summary line per acceptance criterion."""
+"""Shared pytest plumbing: one summary line per acceptance criterion, and a
+dense view of connection blocks for tests."""
+
+import numpy as np
 
 results: list[tuple[int, str, bool, str]] = []
 
@@ -15,3 +18,12 @@ def pytest_terminal_summary(terminalreporter):
     for number, title, passed, detail in sorted(results):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d} [{status}] {title}: {detail}")
+
+
+def dense_blocks(nb) -> np.ndarray:
+    """(n, 3, n, 3) array whose [r, :, c, :] is block N_rc, read from `nb.lower`
+    through the edge index arrays; non-edges and the diagonal stay zero."""
+    dense = np.zeros((nb.n, 3, nb.n, 3))
+    dense[nb.j_idx, :, nb.i_idx, :] = nb.lower  # N_ji
+    dense[nb.i_idx, :, nb.j_idx, :] = np.swapaxes(nb.lower, 1, 2)  # N_ij = N_ji^T
+    return dense

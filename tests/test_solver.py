@@ -17,6 +17,8 @@ from rotavg.solver import (
 from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import ConnectionBlocks, EdgeMeasurement, ViewGraph, assemble_blocks
 
+from conftest import dense_blocks
+
 
 def consistent_graph(n, rng, p=1.0, hessian=None):
     """Complete (or thinned) graph whose measurements match a random ground truth."""
@@ -313,7 +315,8 @@ class TestBcdOracle:
             nb, r = self.near_feasible_instance(n, rng)
             k = int(rng.integers(n))
             others = [m for m in range(n) if m != k]
-            w = np.vstack([nb.block(m, k) for m in others])
+            blocks = dense_blocks(nb)
+            w = np.vstack([blocks[m, :, k] for m in others])
             b = r[others].reshape(-1, 3) @ r[others].reshape(-1, 3).T
             gram = w.T @ b @ w
             np.testing.assert_allclose(gram, gram.T, atol=1e-9)

@@ -1,5 +1,7 @@
 """Tests for synthetic scene generation and the tangent-space noise model."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from rotavg.synth import (
     perturbed_graph,
     sample_hessian,
 )
-from rotavg.viewgraph import chain_init, spanning_tree
+from rotavg.viewgraph import EdgeMeasurement, chain_init, spanning_tree
 
 
 class TestSceneSpec:
@@ -182,3 +184,74 @@ class TestGenerateScene:
         for orig, pert in zip(sc.graph.edges, pg.edges):
             np.testing.assert_array_equal(orig.rel, pert.rel)
             assert not np.allclose(orig.hessian, pert.hessian)
+
+
+def reference_scene(spec):
+    """generate_scene one edge at a time: the scalar sample_hessian, apply_noise
+    and EdgeMeasurement, drawing in generation order. Returns the ground
+    truth, the edges and the number of graphs drawn."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    if spec.kind == "loop":
+        gt = np.stack([so3.exp_so3([0.0, 0.0, 2.0 * np.pi * k / n]) for k in range(n)])
+        candidates = lambda: sorted([(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])
+    else:
+        p = spec.p if spec.p is not None else rng.uniform(0.1, 1.0)
+        gt = np.stack([so3.random_rotation(rng) for _ in range(n)])
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        candidates = lambda: [ij for ij, m in zip(all_pairs, rng.random(len(all_pairs)) < p) if m]
+    for attempt in itertools.count(1):  # redraw disconnected general graphs wholesale
+        edges = []
+        for i, j in candidates():
+            h = sample_hessian(rng)
+            edges.append(EdgeMeasurement(i, j, apply_noise(gt[j] @ gt[i].T, h, spec.noise_scale, rng), h))
+        reached, todo = {0}, [0]
+        while todo:
+            v = todo.pop()
+            for w in [e.j for e in edges if e.i == v] + [e.i for e in edges if e.j == v]:
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        if len(reached) == n:
+            return gt, edges, attempt
+
+
+def assert_graph_equals_edges(g, edges):
+    assert g.n >= 1 and len(g.edges) == len(edges)
+    np.testing.assert_array_equal(g.i_idx, [e.i for e in edges])
+    np.testing.assert_array_equal(g.j_idx, [e.j for e in edges])
+    assert np.array_equal(g.rel_stack(), np.stack([e.rel for e in edges]))
+    assert np.array_equal(g.hessian_stack(), np.stack([e.hessian for e in edges]))
+
+
+PARITY_SPECS = [
+    SceneSpec(kind="loop", n=12, noise_scale=1.0, seed=11),
+    SceneSpec(kind="loop", n=12, noise_scale=0.0, seed=12),
+    SceneSpec(kind="general", n=20, p=0.3, noise_scale=1.0, seed=13),
+    SceneSpec(kind="general", n=20, p=0.3, noise_scale=0.0, seed=14),
+    SceneSpec(kind="general", n=15, p=None, seed=15),
+    SceneSpec(kind="general", n=16, p=0.12, seed=2),  # needs redraws
+]
+
+
+class TestStackedParity:
+    """The stacked generator gives exactly the per-edge reference, bit for bit."""
+
+    @pytest.mark.parametrize("spec", PARITY_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-seed{s.seed}")
+    def test_generate_scene(self, spec):
+        gt, edges, attempts = reference_scene(spec)
+        sc = generate_scene(spec)
+        assert np.array_equal(sc.ground_truth, gt)
+        assert_graph_equals_edges(sc.graph, edges)
+        assert (attempts > 1) == (spec is PARITY_SPECS[-1])
+
+    @pytest.mark.parametrize("sigma_deg, gamma", [(0.0, 0.0), (10.0, 0.0), (0.0, 0.3), (10.0, 0.3)])
+    @pytest.mark.parametrize("spec", PARITY_SPECS[::2], ids=lambda s: s.kind)
+    def test_perturbed_graph(self, spec, sigma_deg, gamma):
+        sc = generate_scene(spec)
+        rng = np.random.default_rng(99)
+        want = [
+            EdgeMeasurement(e.i, e.j, e.rel, perturb_hessian(e.hessian, sigma_deg, gamma, rng))
+            for e in sc.graph.edges
+        ]
+        assert_graph_equals_edges(perturbed_graph(sc, sigma_deg, gamma, seed=99), want)

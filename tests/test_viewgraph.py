@@ -22,6 +22,8 @@ from rotavg.viewgraph import (
     spanning_tree,
 )
 
+from conftest import dense_blocks
+
 
 def rz(deg):
     return so3.exp_so3(np.array([0.0, 0.0, np.radians(deg)]))
@@ -90,6 +92,12 @@ class TestViewGraph:
         g2 = ViewGraph(3, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(1, 2, np.eye(3))])
         assert g2.is_connected()
 
+    def test_components_ordered_by_smallest_member(self):
+        pairs = [(3, 6), (0, 4), (1, 6), (2, 4)]
+        g = ViewGraph(8, [EdgeMeasurement(i, j, np.eye(3)) for i, j in pairs])
+        assert g.components() == [[0, 2, 4], [1, 3, 6], [5], [7]]
+        assert ViewGraph(1).is_connected()
+
     def test_edge_index_arrays(self):
         g = ViewGraph(4, [EdgeMeasurement(1, 3, np.eye(3)), EdgeMeasurement(0, 2, np.eye(3))])
         for arr, want in ((g.i_idx, [1, 0]), (g.j_idx, [3, 2])):
@@ -103,6 +111,145 @@ class TestViewGraph:
         without = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3))])
         assert with_h.has_hessians
         assert not without.has_hessians
+
+
+def valid_arrays(rng):
+    """Edge arrays of a valid 6-camera graph with five edges."""
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)]
+    i, j = (np.array(c) for c in zip(*pairs))
+    rel = np.stack([so3.random_rotation(rng) for _ in pairs])
+    hess = np.stack([random_spd(rng) for _ in pairs])
+    return i, j, rel, hess
+
+
+def corrupt(kind, k, i, j, rel, hess):
+    """Give edge k one fault of the named kind; returns the message it must raise."""
+    edge = f"edge \\({i[k]},{j[k]}\\)"
+    if kind == "self-edge":
+        j[k] = i[k]
+        return f"self-edge at vertex {i[k]}"
+    if kind == "order":
+        i[k], j[k] = j[k], i[k]
+        return f"edge \\({i[k]},{j[k]}\\) not in canonical"
+    if kind == "rel-nan":
+        rel[k, 1, 2] = np.nan
+        return f"{edge}: relative rotation not finite"
+    if kind == "hess-inf":
+        hess[k, 0, 0] = np.inf
+        return f"{edge}: Hessian not finite"
+    if kind == "asymmetric":
+        hess[k, 0, 1] += 1.0
+        return f"{edge}: Hessian not symmetric"
+    if kind == "indefinite":
+        hess[k] = np.diag([1.0, 1.0, -1.0])
+        return f"{edge}: Hessian not PSD"
+    if kind == "range":
+        j[k] = 9
+        return f"edge \\({i[k]},9\\) outside vertex range \\[0,6\\)"
+    assert kind == "duplicate"
+    i[k], j[k] = i[k - 1], j[k - 1]
+    return f"duplicate edge \\({i[k]},{j[k]}\\)"
+
+
+FAULTS = ["self-edge", "order", "rel-nan", "hess-inf", "asymmetric", "indefinite", "range", "duplicate"]
+
+
+class TestFromArrays:
+    def test_valid_arrays_round_trip(self):
+        i, j, rel, hess = valid_arrays(np.random.default_rng(20))
+        g = ViewGraph.from_arrays(6, i, j, rel, hess)
+        assert g.has_hessians and len(g.edges) == 5
+        for arr, want in ((g.i_idx, i), (g.j_idx, j), (g.rel_stack(), rel), (g.hessian_stack(), hess)):
+            np.testing.assert_array_equal(arr, want)
+        for k, e in enumerate(g.edges):
+            assert (e.i, e.j) == (i[k], j[k]) and isinstance(e, EdgeMeasurement)
+            np.testing.assert_array_equal(e.hessian, hess[k])
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_rejects_fault_naming_first_bad_edge(self, kind):
+        """The fault is on edge 2, a different one on edge 4: edge 2 is named."""
+        arrays = valid_arrays(np.random.default_rng(21))
+        message = corrupt(kind, 2, *arrays)
+        corrupt("rel-nan" if kind != "rel-nan" else "indefinite", 4, *arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ViewGraph.from_arrays(6, *arrays)
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_single_edge_same_message(self, kind):
+        """EdgeMeasurement and ViewGraph(n, edges) run the same checks and messages."""
+        arrays = valid_arrays(np.random.default_rng(22))
+        message = corrupt(kind, 2, *arrays)
+        i, j, rel, hess = arrays
+        if kind in ("range", "duplicate"):  # graph-level checks
+            edges = [EdgeMeasurement(*e) for e in zip(i.tolist(), j.tolist(), rel, hess)]
+            with pytest.raises(ValueError, match=message):
+                ViewGraph(6, edges)
+        else:
+            with pytest.raises(ValueError, match=message):
+                EdgeMeasurement(int(i[2]), int(j[2]), rel[2], hess[2])
+
+    @pytest.mark.parametrize("which", ["rel", "hess"])
+    def test_rejects_misshapen_stack(self, which):
+        i, j, rel, hess = valid_arrays(np.random.default_rng(23))
+        arrays = {"rel": rel, "hess": hess}
+        arrays[which] = arrays[which][:, :2, :2]
+        name = "relative rotation" if which == "rel" else "Hessian"
+        with pytest.raises(ValueError, match=rf"edge \(0,1\): {name} has shape \(2, 2\)"):
+            ViewGraph.from_arrays(6, i, j, arrays["rel"], arrays["hess"])
+
+    def test_rejects_length_mismatch_and_float_endpoints(self):
+        i, j, rel, hess = valid_arrays(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="disagree in length"):
+            ViewGraph.from_arrays(6, i, j, rel[:4], hess)
+        with pytest.raises(ValueError, match="integers"):
+            ViewGraph.from_arrays(6, i.astype(float), j, rel, hess)
+
+    def test_stored_arrays_refuse_writes(self):
+        i, j, rel, hess = valid_arrays(np.random.default_rng(25))
+        g = ViewGraph.from_arrays(6, i, j, rel, hess)
+        for arr in (g.i_idx, g.j_idx, g.rel, g.hess, g.has_hessian, g.edges[0].rel, g.edges[1].hessian):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        rel[0] = 0.0  # the graph holds copies; the caller's arrays stay writable
+        assert np.array_equal(g.rel[0], g.edges[0].rel) and g.rel[0, 0, 0] != 0.0
+
+    def test_len_builds_no_edges(self, monkeypatch):
+        g = ViewGraph.from_arrays(6, *valid_arrays(np.random.default_rng(26)))
+        monkeypatch.setattr(ViewGraph, "_edge", lambda self, k: pytest.fail("edge object built"))
+        assert len(g.edges) == 5
+
+    def test_edge_sequence_indexing(self):
+        g = ViewGraph.from_arrays(6, *valid_arrays(np.random.default_rng(27)))
+        assert (g.edges[-1].i, g.edges[-1].j) == (3, 5)
+        assert [(e.i, e.j) for e in g.edges[1:3]] == [(0, 2), (1, 3)]
+        assert [(e.i, e.j) for e in g.edges] == list(zip(g.i_idx.tolist(), g.j_idx.tolist()))
+        with pytest.raises(IndexError):
+            g.edges[5]
+
+    def test_mixed_hessians(self, tmp_path):
+        """Some edges with a Hessian, some without: kept per edge, aniso refused."""
+        rng = np.random.default_rng(28)
+        edges = [
+            EdgeMeasurement(0, 1, so3.random_rotation(rng), random_spd(rng)),
+            EdgeMeasurement(0, 2, so3.random_rotation(rng)),
+            EdgeMeasurement(1, 2, so3.random_rotation(rng), random_spd(rng)),
+        ]
+        g = ViewGraph(3, edges)
+        assert not g.has_hessians
+        np.testing.assert_array_equal(g.has_hessian, [True, False, True])
+        with pytest.raises(ValueError, match=r"edge \(0,2\) has none"):
+            g.hessian_stack()
+        path = tmp_path / "mixed.vg"
+        save_view_graph(g, path)
+        assert [" H " in line for line in path.read_text().splitlines()[1:]] == [True, False, True]
+        back = load_view_graph(path)
+        for a, b in zip(back.edges, edges):
+            assert (a.hessian is None) == (b.hessian is None)
+            np.testing.assert_array_equal(a.rel, b.rel)
+            if b.hessian is not None:
+                np.testing.assert_array_equal(a.hessian, b.hessian)
 
 
 class TestAnisotropicWeight:
@@ -160,25 +307,26 @@ class TestAssembleBlocks:
     def test_two_cameras_h_twice_identity(self):
         r = rz(90)
         g = ViewGraph(2, [EdgeMeasurement(0, 1, r, 2 * np.eye(3))])
-        nb = assemble_blocks(g, "aniso")
-        np.testing.assert_allclose(nb.block(1, 0), r, atol=1e-15)
-        np.testing.assert_allclose(nb.block(0, 1), r.T, atol=1e-15)
+        blocks = dense_blocks(assemble_blocks(g, "aniso"))
+        np.testing.assert_allclose(blocks[1, :, 0], r, atol=1e-15)
+        np.testing.assert_allclose(blocks[0, :, 1], r.T, atol=1e-15)
 
     def test_iso_blocks_equal_measurements(self):
         rng = np.random.default_rng(3)
         rels = [so3.random_rotation(rng) for _ in range(2)]
         g = ViewGraph(3, [EdgeMeasurement(0, 1, rels[0]), EdgeMeasurement(1, 2, rels[1])])
-        nb = assemble_blocks(g, "iso")
-        np.testing.assert_array_equal(nb.block(1, 0), rels[0])
-        np.testing.assert_array_equal(nb.block(2, 1), rels[1])
+        blocks = dense_blocks(assemble_blocks(g, "iso"))
+        np.testing.assert_array_equal(blocks[1, :, 0], rels[0])
+        np.testing.assert_array_equal(blocks[2, :, 1], rels[1])
 
     def test_path_graph_block_structure(self):
         g = ViewGraph(3, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(1, 2, np.eye(3))])
         nb = assemble_blocks(g, "iso")
         assert nb.num_edges == 2  # 4 directed blocks, 2 stored
+        blocks = dense_blocks(nb)
         for k in range(3):
-            np.testing.assert_array_equal(nb.block(k, k), np.zeros((3, 3)))
-        np.testing.assert_array_equal(nb.block(0, 2), np.zeros((3, 3)))
+            np.testing.assert_array_equal(blocks[k, :, k], np.zeros((3, 3)))
+        np.testing.assert_array_equal(blocks[0, :, 2], np.zeros((3, 3)))
 
     def test_symmetry_invariant(self):
         rng = np.random.default_rng(4)
@@ -189,10 +337,10 @@ class TestAssembleBlocks:
                 for i, j in [(0, 1), (0, 2), (1, 3), (2, 3)]
             ],
         )
-        nb = assemble_blocks(g, "aniso")
+        blocks = dense_blocks(assemble_blocks(g, "aniso"))
         for i in range(4):
             for j in range(4):
-                np.testing.assert_array_equal(nb.block(i, j), nb.block(j, i).T)
+                np.testing.assert_array_equal(blocks[i, :, j], blocks[j, :, i].T)
 
     def test_h_twice_identity_matches_iso(self):
         rng = np.random.default_rng(5)
@@ -263,6 +411,28 @@ class TestSpanningTree:
         tree, _ = spanning_tree(g)
         assert len(tree) == 5
         assert ViewGraph(6, tree).is_connected()
+
+    @pytest.mark.parametrize("with_hessians", [True, False])
+    def test_matches_per_edge_kruskal(self, with_hessians):
+        """Same edges in the same order as Kruskal over edges sorted by (-tr H, i, j)."""
+        rng = np.random.default_rng(10)
+        pairs = [(i, j) for i in range(9) for j in range(i + 1, 9) if rng.random() < 0.6]
+        pairs += [(k, k + 1) for k in range(8) if (k, k + 1) not in pairs]
+        hs = [random_spd(rng) for _ in range(3)]  # shared Hessians make trace ties
+        edges = [
+            EdgeMeasurement(i, j, np.eye(3), hs[k % 3] if with_hessians else None)
+            for k, (i, j) in enumerate(sorted(pairs))
+        ]
+        ranked = sorted(edges, key=lambda e: (-np.trace(e.hessian) if with_hessians else 1.0, e.i, e.j))
+        comp = list(range(9))
+        want = []
+        for e in ranked:
+            a, b = comp[e.i], comp[e.j]
+            if a != b:
+                comp = [b if c == a else c for c in comp]
+                want.append((e.i, e.j))
+        tree, _ = spanning_tree(ViewGraph(9, edges))
+        assert [(e.i, e.j) for e in tree] == want
 
     def test_disconnected_error_lists_sizes(self):
         g = ViewGraph(4, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(2, 3, np.eye(3))])
@@ -426,3 +596,151 @@ class TestFileIO:
         path.write_text(f"ROT 0 {vals}\nROT 0 {vals}\n")
         with pytest.raises(GraphFormatError, match="duplicate"):
             load_rotations(path)
+
+
+def fmt(values):
+    return " ".join("%.17g" % v for v in np.ravel(values))
+
+
+def vg_lines(rng):
+    """A valid .vg file as lines: header, a comment, then six EDGE lines."""
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+    return ["VGRAPH 1 6", "# six edges"] + [
+        f"EDGE {i} {j} {fmt(so3.random_rotation(rng))} H {fmt(random_spd(rng))}" for i, j in pairs
+    ]
+
+
+def bad_vg_line(kind, line):
+    """Line `line` of vg_lines with one fault of the named kind."""
+    tok = line.split()
+    if kind == "malformed":
+        return " ".join(tok[:8])
+    if kind == "non-integer":
+        tok[1] = "x"
+    elif kind == "non-float":
+        tok[5] = "one"
+    elif kind == "range":
+        tok[2] = "6"
+    elif kind == "rot-nan":
+        tok[3] = "nan"
+    elif kind == "rot-off":
+        tok[3:12] = fmt(2 * np.eye(3)).split()
+    elif kind == "self-edge":
+        tok[2] = tok[1]
+    elif kind == "order":
+        tok[1], tok[2] = tok[2], tok[1]
+    elif kind == "hess-inf":
+        tok[13] = "inf"
+    elif kind == "asymmetric":
+        tok[14] = str(float(tok[14]) + 1.0)
+    elif kind == "indefinite":
+        tok[13:22] = fmt(np.diag([1.0, 1.0, -1.0])).split()
+    elif kind == "duplicate":
+        tok[1:3] = ["0", "1"]
+    elif kind == "unknown-record":
+        tok[0] = "EDGES"
+    elif kind == "second-header":
+        return "VGRAPH 1 6"
+    return " ".join(tok)
+
+
+VG_FAULTS = {
+    "malformed": "malformed EDGE line", "non-integer": "invalid literal", "non-float": "could not convert",
+    "range": "outside vertex range", "rot-nan": "rotation off SO", "rot-off": "rotation off SO",
+    "self-edge": "self-edge", "order": "canonical", "hess-inf": "Hessian not finite",
+    "asymmetric": "Hessian not symmetric", "indefinite": "Hessian not PSD",
+    "duplicate": r"duplicate edge \(0,1\)", "unknown-record": "unknown record",
+    "second-header": "second VGRAPH header",
+}
+
+
+def rot_lines(rng):
+    return [f"ROT {k} {fmt(so3.random_rotation(rng))}" for k in range(6)]
+
+
+def bad_rot_line(kind, line):
+    tok = line.split()
+    if kind == "malformed":
+        tok = tok[:10]
+    elif kind == "non-integer":
+        tok[1] = "x"
+    elif kind == "non-float":
+        tok[4] = "one"
+    elif kind == "negative-id":
+        tok[1] = "-1"
+    elif kind == "duplicate-id":
+        tok[1] = "0"
+    elif kind == "rot-nan":
+        tok[2] = "nan"
+    elif kind == "rot-off":
+        tok[2:11] = fmt(2 * np.eye(3)).split()
+    return " ".join(tok)
+
+
+ROT_FAULTS = {
+    "malformed": "malformed ROT line", "non-integer": "invalid literal", "non-float": "could not convert",
+    "negative-id": "negative camera id", "duplicate-id": "duplicate camera id 0",
+    "rot-nan": "rotation off SO", "rot-off": "rotation off SO",
+}
+
+
+def write_with_faults(tmp_path, lines, bad_line, faults):
+    """Write `lines` with each (kind, line number) fault applied; return the path."""
+    lines = list(lines)
+    for kind, lineno in faults:
+        lines[lineno - 1] = bad_line(kind, lines[lineno - 1])
+    path = tmp_path / "input.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestLoaderNamesFirstBadLine:
+    def test_valid_files_load(self, tmp_path):
+        rng = np.random.default_rng(30)
+        assert len(load_view_graph(write_with_faults(tmp_path, vg_lines(rng), None, [])).edges) == 6
+        assert load_rotations(write_with_faults(tmp_path, rot_lines(rng), None, [])).shape == (6, 3, 3)
+
+    @pytest.mark.parametrize("kind", VG_FAULTS)
+    def test_view_graph_fault(self, tmp_path, kind):
+        path = write_with_faults(tmp_path, vg_lines(np.random.default_rng(31)), bad_vg_line, [(kind, 6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match=f"line 6: .*{VG_FAULTS[kind]}"):
+                load_view_graph(path)
+
+    @pytest.mark.parametrize("kind", ROT_FAULTS)
+    def test_rotation_fault(self, tmp_path, kind):
+        path = write_with_faults(tmp_path, rot_lines(np.random.default_rng(32)), bad_rot_line, [(kind, 4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match=f"line 4: .*{ROT_FAULTS[kind]}"):
+                load_rotations(path)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("rot-nan", "malformed"), ("malformed", "rot-nan"), ("indefinite", "rot-off"),
+         ("rot-off", "duplicate"), ("hess-inf", "unknown-record"), ("order", "asymmetric")],
+    )
+    def test_view_graph_two_faults_earlier_line(self, tmp_path, first, second):
+        lines = vg_lines(np.random.default_rng(33))
+        path = write_with_faults(tmp_path, lines, bad_vg_line, [(first, 5), (second, 7)])
+        with pytest.raises(GraphFormatError, match=f"line 5: .*{VG_FAULTS[first]}"):
+            load_view_graph(path)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("rot-nan", "malformed"), ("negative-id", "rot-off"), ("rot-off", "duplicate-id")],
+    )
+    def test_rotation_two_faults_earlier_line(self, tmp_path, first, second):
+        lines = rot_lines(np.random.default_rng(34))
+        path = write_with_faults(tmp_path, lines, bad_rot_line, [(first, 3), (second, 5)])
+        with pytest.raises(GraphFormatError, match=f"line 3: .*{ROT_FAULTS[first]}"):
+            load_rotations(path)
+
+    def test_save_is_byte_identical_to_per_edge_format(self, tmp_path):
+        """The writer formats every value with %.17g, as one f-string per edge did."""
+        lines = vg_lines(np.random.default_rng(35))
+        path = write_with_faults(tmp_path, lines, None, [])
+        out = tmp_path / "again.vg"
+        save_view_graph(load_view_graph(path), out)
+        assert out.read_text().splitlines() == [lines[0]] + lines[2:]
