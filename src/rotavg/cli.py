@@ -21,14 +21,17 @@ from .pipeline import run_per_component, run_pipeline
 from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
 
 
-def _write_manifest(path, subcommand, config, timings_ms):
+def _write_manifest(args, timings_ms) -> None:
+    """Write the run's manifest to --manifest, if given."""
+    if not args.manifest:
+        return
     payload = {
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": args.subcommand,
+        "config": {**vars(args), "func": None},
         "timings_ms": timings_ms,
         "version": __version__,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with open(args.manifest, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -54,13 +57,7 @@ def cmd_synth(args) -> int:
     save_view_graph(graph, args.out)
     if args.gt:
         save_rotations(scene.ground_truth, args.gt)
-    if args.manifest:
-        _write_manifest(
-            args.manifest,
-            "synth",
-            {**vars(args), "func": None},
-            {"generate": gen_ms},
-        )
+    _write_manifest(args, {"generate": gen_ms})
     print(f"wrote {len(graph.edges)} edges for {graph.n} cameras to {args.out}")
     return 0
 
@@ -90,28 +87,22 @@ def cmd_solve(args) -> int:
     robust_cfg = RobustConfig(tau_deg=args.tau_deg)
 
     if len(sizes) > 1:
-        rotations = run_per_component(graph, cfg, args.robust, robust_cfg)
-        timings = {}
-        result = None
-    else:
-        result = run_pipeline(graph, cfg, args.robust, robust_cfg)
-        rotations = result.rotations
-        timings = result.timings_ms
-
-    save_rotations(rotations, args.out)
-    if args.trace and result is not None:
-        write_trace_csv(result.solve, args.trace)
-    if args.robust_trace and result is not None and result.refine is not None:
-        write_robust_trace_csv(result.refine, args.robust_trace)
-    if args.manifest:
-        _write_manifest(args.manifest, "solve", {**vars(args), "func": None}, timings)
-    if result is not None:
-        print(
-            f"solved {graph.n} cameras in {result.solve.sweeps_run} sweeps "
-            f"({result.solve.status})"
-        )
-    else:
+        save_rotations(run_per_component(graph, cfg, args.robust, robust_cfg), args.out)
+        _write_manifest(args, {})
         print(f"solved {graph.n} cameras per-component")
+        return 0
+
+    result = run_pipeline(graph, cfg, args.robust, robust_cfg)
+    save_rotations(result.rotations, args.out)
+    if args.trace:
+        write_trace_csv(result.solve, args.trace)
+    if args.robust_trace and result.refine is not None:
+        write_robust_trace_csv(result.refine, args.robust_trace)
+    _write_manifest(args, result.timings_ms)
+    print(
+        f"solved {graph.n} cameras in {result.solve.sweeps_run} sweeps "
+        f"({result.solve.status})"
+    )
     return 0
 
 
@@ -125,8 +116,7 @@ def cmd_eval(args) -> int:
     thresholds = [float(t) for t in args.auc.split(",") if t]
     report = metrics.evaluate(est, gt, thresholds)
     metrics.write_metrics_json(report, args.out)
-    if args.manifest:
-        _write_manifest(args.manifest, "eval", {**vars(args), "func": None}, {})
+    _write_manifest(args, {})
     print(
         f"rms {report.rms_deg:.6g} deg, aa {report.aa_percent:.4g}%, "
         + ", ".join(f"auc@{t:g} {v:.4g}%" for t, v in report.auc_percent.items())
@@ -164,8 +154,7 @@ def cmd_bench(args) -> int:
         f.write("config,stage,rep,millis\n")
         for cname, stage, rep, ms in rows:
             f.write(f"{cname},{stage},{rep},{ms:.6g}\n")
-    if args.manifest:
-        _write_manifest(args.manifest, "bench", {**vars(args), "func": None}, {})
+    _write_manifest(args, {})
     print(f"wrote {len(rows)} timing rows to {args.out}")
     return 0
 

@@ -99,10 +99,7 @@ class _EdgeModel:
             self.dn = np.swapaxes(np.linalg.cholesky(self.h), 1, 2) / scale[:, None, None]
             self.norm_scale = scale
         else:
-            e_count = len(self.i_idx)
-            self.h = np.tile(np.eye(3), (e_count, 1, 1))
-            self.dn = self.h.copy()
-            self.norm_scale = np.ones(e_count)
+            self.h = np.tile(np.eye(3), (len(self.i_idx), 1, 1))
 
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""
@@ -204,9 +201,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (g.n, 3, 3):
         raise ValueError(f"initial stack shape {r0.shape} does not match n={g.n}")
-    if not g.is_connected():
-        sizes = [len(c) for c in g.components()]
-        raise ValueError(f"graph is disconnected: component sizes {sizes}")
+    g.require_connected()
     model = _EdgeModel(g, cfg.mode)
     tau = np.radians(cfg.tau_deg)
     r = r0.copy()

@@ -173,8 +173,7 @@ def unit(v: np.ndarray) -> np.ndarray:
 def quaternion_rotation(q: np.ndarray) -> np.ndarray:
     """Rotations of quaternions (w, x, y, z), normalized first: (..., 4) to (..., 3, 3)."""
     q = unit(np.asarray(q, dtype=float))
-    # One quaternion runs on Python floats: the same IEEE operations, less overhead.
-    w, x, y, z = q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1], q[..., 2], q[..., 3])
+    w, x, y, z = np.moveaxis(q, -1, 0)
     m = np.array(
         [
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
@@ -182,7 +181,7 @@ def quaternion_rotation(q: np.ndarray) -> np.ndarray:
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
         ]
     )
-    return np.ascontiguousarray(m.transpose(*range(1, m.ndim), 0)).reshape(q.shape[:-1] + (3, 3))
+    return np.ascontiguousarray(np.moveaxis(m, 0, -1)).reshape(q.shape[:-1] + (3, 3))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -53,8 +53,7 @@ def make_init(kind: str, n: int, seed: int = 0) -> np.ndarray:
     if kind == "identity":
         return np.tile(np.eye(3), (n, 1, 1))
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        return np.stack([so3.random_rotation(rng) for _ in range(n)])
+        return so3.quaternion_rotation(np.random.default_rng(seed).standard_normal((n, 4)))
     raise ValueError(f"unknown init kind {kind!r} (mst inits come from chain_init)")
 
 
@@ -219,18 +218,12 @@ def bcd_oracle_update(nb_iso: ConnectionBlocks, r: np.ndarray, k: int) -> np.nda
     the one with the larger <W, S>. On feasible points it must equal
     stack-without-k times the transposed coordinate_update result.
     """
-    n = nb_iso.n
-    others = [m for m in range(n) if m != k]
-    pos = {m: p for p, m in enumerate(others)}
-    w = np.zeros((3 * (n - 1), 3))
-    for e in range(nb_iso.num_edges):
-        i, j = int(nb_iso.i_idx[e]), int(nb_iso.j_idx[e])
-        low = nb_iso.lower[e]  # N_ji
-        if i == k and j != k:
-            w[3 * pos[j] : 3 * pos[j] + 3] = low  # N_{j,k}
-        elif j == k and i != k:
-            w[3 * pos[i] : 3 * pos[i] + 3] = low.T  # N_{i,k}
-    r_others = r[others].reshape(-1, 3)  # (3(n-1), 3)
+    i_idx, j_idx, lower = nb_iso.i_idx, nb_iso.j_idx, nb_iso.lower  # lower[e] = N_ji
+    w = np.zeros((nb_iso.n, 3, 3))
+    w[j_idx[i_idx == k]] = lower[i_idx == k]  # N_{j,k}
+    w[i_idx[j_idx == k]] = np.swapaxes(lower[j_idx == k], 1, 2)  # N_{i,k}
+    w = np.delete(w, k, axis=0).reshape(-1, 3)
+    r_others = np.delete(r, k, axis=0).reshape(-1, 3)  # (3(n-1), 3)
     b = r_others @ r_others.T
 
     bw = b @ w

@@ -11,6 +11,8 @@ stacked validator; `EdgeMeasurement` is the per-edge view of the same data.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -21,10 +23,19 @@ from . import so3
 SYMMETRY_TOL = 1e-9
 OFF_MANIFOLD_TOL = 1e-6
 FLOAT_FMT = "%.17g"
+_MATRIX_FMT = " ".join([FLOAT_FMT] * 9)  # one 3x3 matrix, row-major
 
 
 class GraphFormatError(ValueError):
     """Malformed view-graph or rotation file."""
+
+
+class RowError(ValueError):
+    """An invalid row of a stack of edges or rotations; `index` is the row."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -37,11 +48,9 @@ class EdgeMeasurement:
     hessian: np.ndarray | None = None
 
     def __post_init__(self):
-        hess = None if self.hessian is None else np.asarray(self.hessian, dtype=float)[None]
         rel = np.asarray(self.rel, dtype=float)[None]
-        fault = _edge_fault(_endpoints(self.i), _endpoints(self.j), rel, hess)
-        if fault is not None:
-            raise ValueError(fault[1])
+        hess = None if self.hessian is None else np.asarray(self.hessian, dtype=float)[None]
+        _check_edges(_endpoints(self.i), _endpoints(self.j), rel, hess)
 
 
 def _endpoints(x) -> np.ndarray:
@@ -51,8 +60,8 @@ def _endpoints(x) -> np.ndarray:
     return x.astype(np.intp)
 
 
-def _edge_fault(i, j, rel, hess=None, n=None) -> tuple[int, str] | None:
-    """The first invalid edge as (index, message), or None if every edge passes.
+def _check_edges(i, j, rel, hess=None, n=None) -> None:
+    """Raise RowError on the first invalid edge.
 
     Each edge runs the checks in this order: self-edge, canonical order,
     rotation shape and finiteness, Hessian shape, finiteness, symmetry and
@@ -86,11 +95,10 @@ def _edge_fault(i, j, rel, hess=None, n=None) -> tuple[int, str] | None:
         checks.append((outside, at + " outside vertex range [0,{n})"))
         checks.append((repeat, "duplicate " + at))
     bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(i))
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad.any(axis=0)))
-    message = checks[int(np.argmax(bad[:, k]))][1]
-    return k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        message = checks[int(np.argmax(bad[:, k]))][1]
+        raise RowError(k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape))
 
 
 class _EdgeList(Sequence):
@@ -102,9 +110,8 @@ class _EdgeList(Sequence):
     def __len__(self) -> int:
         return len(self._g.i_idx)
 
-    def __getitem__(self, k):
-        ks = range(len(self))[k]
-        return [self._g._edge(m) for m in ks] if isinstance(ks, range) else self._g._edge(ks)
+    def __getitem__(self, k: int) -> EdgeMeasurement:
+        return self._g._edge(range(len(self))[operator.index(k)])
 
 
 class ViewGraph:
@@ -130,13 +137,13 @@ class ViewGraph:
         """Graph from edge arrays, checked by the stacked validator.
 
         `has_hessian` (E,) marks the rows of `hess` that are Hessians; by
-        default all are. Raises ValueError naming the first invalid edge.
+        default all are. Raises RowError naming the first invalid edge.
         """
         g = cls.__new__(cls)
         g._store(n, i, j, rel, hess, has_hessian)
         return g
 
-    def _store(self, n, i, j, rel, hess, has_h, check=True):
+    def _store(self, n, i, j, rel, hess, has_h):
         self.n, self.i_idx, self.j_idx = n, _endpoints(i), _endpoints(j)
         self.rel = np.array(rel, dtype=float)
         self.hess = None if hess is None else np.array(hess, dtype=float)
@@ -148,14 +155,13 @@ class ViewGraph:
             raise ValueError(f"edge arrays disagree in length: {[len(a) for a in arrays]}")
         if self.hess is not None:
             self.hess[~self.has_hessian] = 0.0
+        elif self.has_hessian.any():
+            k = int(np.argmax(self.has_hessian))
+            at = f"edge ({self.i_idx[k]},{self.j_idx[k]})"
+            raise RowError(k, at + " is marked as having a Hessian, but hess is None")
         for a in arrays:
             a.flags.writeable = False
-        fault = self._fault() if check else None
-        if fault is not None:
-            raise ValueError(fault[1])
-
-    def _fault(self) -> tuple[int, str] | None:
-        return _edge_fault(self.i_idx, self.j_idx, self.rel, self.hess, self.n)
+        _check_edges(self.i_idx, self.j_idx, self.rel, self.hess, n)
 
     def _edge(self, k: int) -> EdgeMeasurement:
         """Edge k as an EdgeMeasurement, built without re-running the checks."""
@@ -199,6 +205,11 @@ class ViewGraph:
 
     def is_connected(self) -> bool:
         return self.n > 0 and not component_labels(self.n, self.i_idx, self.j_idx).any()
+
+    def require_connected(self) -> None:
+        if not self.is_connected():
+            sizes = [len(c) for c in self.components()]
+            raise ValueError(f"graph is disconnected: component sizes {sizes}")
 
 
 def component_labels(n: int, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -266,20 +277,17 @@ class ConnectionBlocks:
         """
         if self._tables is not None:
             return self._tables
-        nbrs = [[] for _ in range(self.n)]
-        mats = [[] for _ in range(self.n)]
-        for e in range(self.num_edges):
-            i, j = int(self.i_idx[e]), int(self.j_idx[e])
-            low = self.lower[e]  # N_ji
-            # G_k = sum_m N_{m,k}^T R_m
-            nbrs[i].append(j)
-            mats[i].append(low.T)  # N_{j,i}^T
-            nbrs[j].append(i)
-            mats[j].append(low)  # N_{i,j}^T = (N_ji^T)^T = N_ji
-        indices = [np.asarray(v, dtype=np.intp) for v in nbrs]
-        coeffs = [
-            np.hstack(m) if m else np.zeros((3, 0)) for m in mats
-        ]  # (3, 3*deg)
+        # G_k = sum_m N_{m,k}^T R_m: N_{j,i}^T at vertex i, N_{i,j}^T = N_{j,i} at vertex j.
+        vert = np.concatenate([self.i_idx, self.j_idx])
+        edge = np.concatenate([np.arange(self.num_edges)] * 2)
+        order = np.lexsort((edge, vert))  # per vertex, in edge order
+        mats = np.concatenate([np.swapaxes(self.lower, 1, 2), self.lower])[order]
+        cuts = np.cumsum(np.bincount(vert, minlength=self.n))[:-1]
+        indices = np.split(np.concatenate([self.j_idx, self.i_idx])[order], cuts)
+        # (3, 3*deg) in np.hstack's layout, Fortran if all are N_{j,i}^T: BLAS rounding follows it.
+        fortran = np.bincount(self.j_idx, minlength=self.n) == 0
+        coeffs = [np.asarray(m.transpose(1, 0, 2).reshape(3, -1), order="F" if f else "C")
+                  for m, f in zip(np.split(mats, cuts), fortran.tolist())]
         self._tables = (indices, coeffs)
         return self._tables
 
@@ -304,30 +312,16 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
     first), otherwise uniform. Ties break on (i, j) lexicographic order, so
     the tree is deterministic.
     """
-    comps = g.components()
-    if len(comps) != 1:
-        sizes = [len(c) for c in comps]
-        raise ValueError(f"graph is disconnected: component sizes {sizes}")
+    from scipy.sparse import coo_matrix, csgraph
+
+    g.require_connected()
     key = -np.trace(g.hess, axis1=1, axis2=2) if g.has_hessians and g.hess is not None else 1.0
     order = np.lexsort((g.j_idx, g.i_idx, np.broadcast_to(key, g.i_idx.shape)))
-    # Kruskal with union-find.
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for e, i, j in zip(order.tolist(), g.i_idx[order].tolist(), g.j_idx[order].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.append(g._edge(e))
-            if len(tree) == g.n - 1:
-                break
-    return tree, 0
+    # Weighted by rank in that order, all weights differ: the minimum spanning
+    # tree is unique and is the one Kruskal's algorithm takes in that order.
+    rank = np.argsort(order) + 1.0
+    mst = csgraph.minimum_spanning_tree(coo_matrix((rank, (g.i_idx, g.j_idx)), shape=(g.n, g.n)))
+    return [g._edge(e) for e in order[np.sort(mst.data).astype(np.intp) - 1].tolist()], 0
 
 
 def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndarray:
@@ -336,39 +330,26 @@ def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndar
     The root gets the identity; each child satisfies its tree measurement
     exactly (R_j = R_ij R_i in edge orientation, the transpose against it).
     """
+    from scipy.sparse import coo_matrix, csgraph
+
     edges, root = tree
-    adj: dict[int, list[tuple[int, EdgeMeasurement]]] = {v: [] for v in range(g.n)}
-    for e in edges:
-        adj[e.i].append((e.j, e))
-        adj[e.j].append((e.i, e))
+    rel = {(e.i, e.j): e.rel for e in edges}
+    ij = np.array(list(rel), dtype=np.intp).reshape(-1, 2)
+    adjacency = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(g.n, g.n))
+    order, parent = csgraph.breadth_first_order(adjacency, root, directed=False)
+    if len(order) != g.n:
+        raise ValueError("tree does not span the graph")
     stack = np.zeros((g.n, 3, 3))
     stack[root] = np.eye(3)
-    todo = [root]
-    visited = {root}
-    while todo:
-        v = todo.pop()
-        for w, e in adj[v]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if e.i == v:  # forward: R_j = R_ij R_i
-                stack[w] = e.rel @ stack[v]
-            else:  # backward: R_i = R_ij^T R_j
-                stack[w] = e.rel.T @ stack[v]
-            todo.append(w)
-    if len(visited) != g.n:
-        raise ValueError("tree does not span the graph")
+    for w, v in zip(order[1:].tolist(), parent[order[1:]].tolist()):
+        stack[w] = rel[v, w] @ stack[v] if v < w else rel[w, v].T @ stack[v]
     return stack
-
-
-def _row_format(head: str) -> str:
-    return " ".join([head] + [FLOAT_FMT] * 9)
 
 
 def save_view_graph(g: ViewGraph, path) -> None:
     """Write the text format: VGRAPH header plus one EDGE line per edge."""
-    plain = _row_format("EDGE %d %d")
-    with_h = _row_format(plain + " H")
+    plain = "EDGE %d %d " + _MATRIX_FMT
+    with_h = plain + " H " + _MATRIX_FMT
     hess = np.zeros_like(g.rel) if g.hess is None else g.hess
     rows = zip(g.i_idx.tolist(), g.j_idx.tolist(), g.rel.reshape(-1, 9).tolist(),
                hess.reshape(-1, 9).tolist(), g.has_hessian)
@@ -386,8 +367,8 @@ def _records(path):
                 yield lineno, tok
 
 
-def _checked_rotations(m: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """Check a loaded (K, 3, 3) stack against SO(3); returns it and its first fault or None.
+def _check_rotations(m: np.ndarray) -> None:
+    """Check a loaded (K, 3, 3) stack against SO(3); raise RowError on the first bad row.
 
     Rows off SO(3) by more than the rotation tolerances but by at most
     OFF_MANIFOLD_TOL are re-projected in place.
@@ -400,22 +381,17 @@ def _checked_rotations(m: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | Non
     off = (err > so3.ROTATION_ORTHO_TOL) | (det_err > so3.ROTATION_DET_TOL)
     for k in np.flatnonzero(ok & off):  # within OFF_MANIFOLD_TOL: re-project
         m[k] = so3.project_so3(m[k])
-    if ok.all():
-        return m, None
-    k = int(np.argmin(ok))
-    if not finite[k]:
-        return m, (k, "rotation off SO(3): entry not finite")
-    return m, (k, f"rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
-                  f"(orthogonality {err[k]:.3g}, det error {det_err[k]:.3g})")
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise RowError(k, "rotation off SO(3): entry not finite" if not finite[k] else
+                       f"rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
+                       f"(orthogonality {err[k]:.3g}, det error {det_err[k]:.3g})")
 
 
-def _raise_first(lines: list[int], row_faults, line_fault) -> None:
-    """Raise the fault on the earliest line: (row, message) row faults, a row
-    indexing `lines`, or the (line number, message) line fault; None skips."""
-    found = [(lines[k], message) for k, message in filter(None, row_faults)]
-    found += [line_fault] if line_fault else []
-    if found:
-        raise GraphFormatError("line %d: %s" % min(found))
+def _raise_first(faults: list[tuple[int, str]]) -> None:
+    """Raise the (line number, message) fault on the earliest line, if any."""
+    if faults:
+        raise GraphFormatError("line %d: %s" % min(faults))
 
 
 def load_view_graph(path) -> ViewGraph:
@@ -425,8 +401,7 @@ def load_view_graph(path) -> ViewGraph:
     rejected. All edges are checked at once; an error names the first bad
     line in file order.
     """
-    n, ids, vals, has_h, lines, parse_fault = None, [], [], [], [], None
-    no_h = [0.0] * 9
+    n, ids, vals, has_h, lines, faults = None, [], array("d"), [], [], []
     for lineno, tok in _records(path):
         try:
             if tok[0] == "EDGE":
@@ -437,7 +412,7 @@ def load_view_graph(path) -> ViewGraph:
                 i, j = int(tok[1]), int(tok[2])
                 if not (0 <= i < n and 0 <= j < n):
                     raise GraphFormatError(f"edge ({i},{j}) outside vertex range [0,{n})")
-                vals.append([*map(float, tok[3:12]), *(map(float, tok[13:]) if tok[13:] else no_h)])
+                vals.extend(map(float, tok[3:12] + (tok[13:] or ["0"] * 9)))
                 ids.append((i, j))
                 has_h.append(len(tok) == 22)
                 lines.append(lineno)
@@ -452,19 +427,25 @@ def load_view_graph(path) -> ViewGraph:
             else:
                 raise GraphFormatError(f"unknown record {tok[0]!r}")
         except ValueError as exc:
-            parse_fault = (lineno, str(exc))
+            faults.append((lineno, str(exc)))
             break
     if n is None:
-        _raise_first(lines, [], parse_fault)
+        _raise_first(faults)
         raise GraphFormatError("missing VGRAPH header")
-    vals = np.reshape(vals, (-1, 18))
-    rel, rot_fault = _checked_rotations(vals[:, :9].reshape(-1, 3, 3))
-    cut = len(ids) if rot_fault is None else rot_fault[0]  # later edges cannot come first
+    vals = np.frombuffer(vals, count=18 * len(lines)).reshape(-1, 18)  # drops a half-parsed row
+    rel, cut = vals[:, :9].reshape(-1, 3, 3), len(lines)
+    try:
+        _check_rotations(rel)
+    except RowError as exc:
+        faults.append((lines[exc.index], str(exc)))
+        cut = exc.index  # a fault on a later edge cannot come first
     ids = np.reshape(ids, (-1, 2))[:cut]
     hess = vals[:cut, 9:].reshape(-1, 3, 3) if any(has_h) else None
-    g = ViewGraph.__new__(ViewGraph)  # checked here, to name lines
-    g._store(n, ids[:, 0], ids[:, 1], rel[:cut], hess, has_h[:cut], check=False)
-    _raise_first(lines, [g._fault(), rot_fault], parse_fault)
+    try:
+        g = ViewGraph.from_arrays(n, ids[:, 0], ids[:, 1], rel[:cut], hess, has_h[:cut])
+    except RowError as exc:
+        faults.append((lines[exc.index], str(exc)))
+    _raise_first(faults)
     return g
 
 
@@ -472,27 +453,31 @@ def save_rotations(stack: np.ndarray, path) -> None:
     """Write absolute rotations, one ROT line per camera."""
     rows = np.asarray(stack, dtype=float).reshape(-1, 9).tolist()
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_row_format("ROT %d") % (i, *r) + "\n" for i, r in enumerate(rows))
+        f.writelines(("ROT %d " + _MATRIX_FMT) % (i, *r) + "\n" for i, r in enumerate(rows))
 
 
 def load_rotations(path) -> np.ndarray:
     """Read a rotation file into an (n, 3, 3) stack; ids must cover 0..n-1."""
-    ids, vals, lines, parse_fault = {}, [], [], None
+    ids, vals, lines, faults = {}, array("d"), [], []
     for lineno, tok in _records(path):
         try:
             if tok[0] != "ROT" or len(tok) != 11:
                 raise GraphFormatError("malformed ROT line")
-            i, row = int(tok[1]), [*map(float, tok[2:11])]
+            i = int(tok[1])
+            vals.extend(map(float, tok[2:11]))
             if i < 0 or i in ids:
                 raise GraphFormatError(f"{'negative' if i < 0 else 'duplicate'} camera id {i}")
         except ValueError as exc:
-            parse_fault = (lineno, str(exc))
+            faults.append((lineno, str(exc)))
             break
-        ids[i] = len(vals)
-        vals.append(row)
+        ids[i] = len(lines)
         lines.append(lineno)
-    rot, rot_fault = _checked_rotations(np.reshape(vals, (-1, 3, 3)))
-    _raise_first(lines, [rot_fault], parse_fault)
+    rot = np.frombuffer(vals, count=9 * len(lines)).reshape(-1, 3, 3)  # drops a half-parsed row
+    try:
+        _check_rotations(rot)
+    except RowError as exc:
+        faults.append((lines[exc.index], str(exc)))
+    _raise_first(faults)
     if not ids:
         raise GraphFormatError("empty rotation file")
     missing = sorted(set(range(max(ids) + 1)) - set(ids))

@@ -10,6 +10,7 @@ from rotavg.viewgraph import (
     ConnectionBlocks,
     EdgeMeasurement,
     GraphFormatError,
+    RowError,
     ViewGraph,
     anisotropic_weight,
     assemble_blocks,
@@ -173,8 +174,9 @@ class TestFromArrays:
         corrupt("rel-nan" if kind != "rel-nan" else "indefinite", 4, *arrays)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(RowError, match=message) as info:
                 ViewGraph.from_arrays(6, *arrays)
+        assert info.value.index == 2
 
     @pytest.mark.parametrize("kind", FAULTS)
     def test_single_edge_same_message(self, kind):
@@ -223,10 +225,19 @@ class TestFromArrays:
     def test_edge_sequence_indexing(self):
         g = ViewGraph.from_arrays(6, *valid_arrays(np.random.default_rng(27)))
         assert (g.edges[-1].i, g.edges[-1].j) == (3, 5)
-        assert [(e.i, e.j) for e in g.edges[1:3]] == [(0, 2), (1, 3)]
         assert [(e.i, e.j) for e in g.edges] == list(zip(g.i_idx.tolist(), g.j_idx.tolist()))
         with pytest.raises(IndexError):
             g.edges[5]
+        with pytest.raises(TypeError):
+            g.edges[1:3]
+
+    def test_rejects_hessian_mask_without_hessians(self):
+        i, j, rel, _ = valid_arrays(np.random.default_rng(29))
+        has = np.array([False, False, True, True, False])
+        with pytest.raises(RowError, match=r"edge \(1,3\) is marked as having a Hessian") as info:
+            ViewGraph.from_arrays(6, i, j, rel, None, has)
+        assert info.value.index == 2
+        assert not ViewGraph.from_arrays(6, i, j, rel, None, np.zeros(5, dtype=bool)).has_hessians
 
     def test_mixed_hessians(self, tmp_path):
         """Some edges with a Hessian, some without: kept per edge, aniso refused."""
