@@ -480,6 +480,19 @@ class TestChainInit:
         for r in chain_init(g, spanning_tree(g)):
             assert so3.is_rotation(r)
 
+    def test_tree_must_span(self):
+        edges = [EdgeMeasurement(0, 1, rz(10)), EdgeMeasurement(2, 3, rz(20))]
+        g = ViewGraph(4, edges)
+        with pytest.raises(ValueError, match="tree does not span"):
+            chain_init(g, (edges, 0))
+
+    def test_root_and_edge_orientation(self):
+        """Rooted at 2: camera 1 is reached against its edge, camera 0 along it."""
+        g = ViewGraph(3, [EdgeMeasurement(0, 1, rz(10)), EdgeMeasurement(1, 2, rz(20))])
+        stack = chain_init(g, (list(g.edges), 2))
+        np.testing.assert_allclose(stack[1], rz(-20), atol=1e-15)
+        np.testing.assert_allclose(stack[0], rz(-30), atol=1e-15)
+
 
 IDENTITY = " ".join(str(v) for v in np.eye(3).ravel())
 NAN_OFF_DIAGONAL = "1 nan 0 nan 1 0 0 0 1"
