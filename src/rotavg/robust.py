@@ -9,10 +9,13 @@ cost trace is non-increasing.
 
 Every per-edge and per-camera quantity is computed as array code: residuals
 and the retraction use the stacked SO(3) maps, the Hessians are clamped and
-whitened in one batched call each, and the normal equations are assembled
-from edge index arrays and solved by conjugate gradients with a block-Jacobi
-(inverted 3x3 diagonal block) preconditioner, after Agarwal et al., "Bundle
-Adjustment in the Large" (ECCV 2010), with a direct sparse solve as fallback.
+whitened in one batched call each. The normal equations keep one block
+pattern per graph: the BSR structure, the slot of each edge's two coupling
+blocks and the edge-camera incidence are built on the first solve, and each
+iteration only refills the block values. The system is solved by conjugate
+gradients with a block-Jacobi (inverted 3x3 diagonal block) preconditioner,
+after Agarwal et al., "Bundle Adjustment in the Large" (ECCV 2010), with a
+direct sparse solve as fallback.
 
 Frame bookkeeping: the per-edge Hessian expresses the precision of a
 right-multiplicative error at the measured relative rotation. The tangent
@@ -22,6 +25,7 @@ anisotropic terms use the R_i-conjugated Hessian of the current iterate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +125,65 @@ class _EdgeModel:
         return np.transpose(ri, (0, 2, 1)) @ self.h @ ri
 
 
+class _NormalPattern:
+    """Block structure of one graph's free-camera normal equations.
+
+    The system has one 3x3 block per free camera on the diagonal and one
+    per direction of each edge between free cameras. The structure depends
+    only on the edges, so it is built once per graph; each IRLS iteration
+    only writes new block values into the fixed slots of a BSR matrix.
+    """
+
+    def __init__(self, g: ViewGraph):
+        if not g.is_connected():
+            raise _singular(g)
+        m = g.n - 1  # free cameras 1..n-1
+        fi, fj = g.i_idx - 1, g.j_idx - 1  # fj >= 0 since j > i >= 0
+        free = np.flatnonzero(fi >= 0)
+        a, b = fi[free], fj[free]
+        # Block (row, col) per slot: the diagonal, then (i, j) and (j, i) per free edge.
+        rows = np.concatenate([np.arange(m), a, b])
+        cols = np.concatenate([np.arange(m), b, a])
+        order = np.lexsort((cols, rows))
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        self.m, self.diag_slot, self.coupling_slot = m, slot[:m], slot[m:]
+        self.coupling_edge = np.tile(free, 2)
+        # int32, as scipy would otherwise convert them on every build.
+        self.indices = cols[order].astype(np.int32)
+        self.indptr = np.searchsorted(rows[order], np.arange(m + 1)).astype(np.int32)
+        # Signed edge -> camera incidence: -1 at a free camera i, +1 at j.
+        edge = np.concatenate([free, np.arange(len(fj))])
+        sign = np.concatenate([-np.ones(len(a)), np.ones(len(fj))])
+        self.incidence = sp.csr_matrix((sign, (np.concatenate([a, fj]), edge)), shape=(m, len(fj)))
+        self.cover = abs(self.incidence)
+        # Every matrix built from the pattern shares these arrays.
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+    def assemble(self, weights: np.ndarray, precisions: np.ndarray, omegas: np.ndarray):
+        """(A, rhs, diagonal blocks) of the system for these edge values."""
+        m = self.m
+        wh = np.asarray(weights, dtype=float)[:, None, None] * precisions
+        g_vec = np.einsum("eab,eb->ea", wh, omegas)
+        diag = (self.cover @ wh.reshape(-1, 9)).reshape(m, 3, 3)
+        data = np.empty((len(self.indices), 3, 3))
+        data[self.diag_slot] = diag
+        data[self.coupling_slot] = -wh[self.coupling_edge]
+        a = sp.bsr_matrix((data, self.indices, self.indptr), shape=(3 * m, 3 * m))
+        return a, (self.incidence @ g_vec).ravel(), diag
+
+
+_PATTERNS: weakref.WeakKeyDictionary[ViewGraph, _NormalPattern] = weakref.WeakKeyDictionary()
+
+
+def _normal_pattern(g: ViewGraph) -> _NormalPattern:
+    """The graph's normal-equation pattern, built on first use and kept with the graph."""
+    pattern = _PATTERNS.get(g)
+    if pattern is None:
+        pattern = _PATTERNS[g] = _NormalPattern(g)
+    return pattern
+
+
 def solve_normal_equations(
     g: ViewGraph,
     weights: np.ndarray,
@@ -130,44 +193,19 @@ def solve_normal_equations(
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
     `precisions` holds D_e^T D_e per edge. Camera 0 is pinned (delta_0 = 0);
-    the returned (n, 3) step includes the pinned zero row. The system is
-    assembled from the graph's edge index arrays and solved by conjugate
-    gradients preconditioned with the inverted 3x3 diagonal blocks, falling
-    back to a direct sparse solve when CG does not converge.
+    the returned (n, 3) step includes the pinned zero row. The block pattern
+    of the system is built once per graph; each call fills in the blocks
+    -w_e P_e and the diagonal sums, then solves by conjugate gradients
+    preconditioned with the inverted 3x3 diagonal blocks, falling back to a
+    direct sparse solve when CG does not converge.
 
     Raises:
         ValueError: if the system is singular (some camera not connected to
             camera 0, or a camera whose edges carry no weight).
     """
-    n = g.n
-    m = n - 1  # free cameras 1..n-1
-    i_idx, j_idx = g.i_idx, g.j_idx
-    if not g.is_connected():
-        raise _singular(g)
-
-    wh = np.asarray(weights, dtype=float)[:, None, None] * precisions
-    g_vec = np.einsum("eab,eb->ea", wh, omegas)
-    fi, fj = i_idx - 1, j_idx - 1  # free-camera indices; fj >= 0 since j > i >= 0
-    free_i = fi >= 0
-    fi_free, wh_free = fi[free_i], wh[free_i]
-
-    # Blocks (a, b, value): the two diagonal contributions, then the couplings.
-    blk_a = np.concatenate([fi_free, fj, fi_free, fj[free_i]])
-    blk_b = np.concatenate([fi_free, fj, fj[free_i], fi_free])
-    blk = np.concatenate([wh_free, wh, -wh_free, -wh_free])
-    p = np.arange(3)
-    rows = np.broadcast_to(3 * blk_a[:, None, None] + p[:, None], blk.shape)
-    cols = np.broadcast_to(3 * blk_b[:, None, None] + p, blk.shape)
-    a = sp.csr_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * m, 3 * m))
-
-    rhs = np.zeros((m, 3))
-    np.add.at(rhs, fi_free, -g_vec[free_i])
-    np.add.at(rhs, fj, g_vec)
-    rhs = rhs.ravel()
-
-    n_diag = len(fi_free) + len(fj)
-    diag = np.zeros((m, 3, 3))
-    np.add.at(diag, blk_a[:n_diag], blk[:n_diag])
+    pattern = _normal_pattern(g)
+    a, rhs, diag = pattern.assemble(weights, precisions, omegas)
+    m = pattern.m
     try:
         diag_inv = np.linalg.inv(diag)
     except np.linalg.LinAlgError:
@@ -178,7 +216,7 @@ def solve_normal_equations(
         delta_free = spla.spsolve(a.tocsc(), rhs)
     if not np.all(np.isfinite(delta_free)):
         raise _singular(g)
-    delta = np.zeros((n, 3))
+    delta = np.zeros((g.n, 3))
     delta[1:] = delta_free.reshape(m, 3)
     return delta
 
@@ -207,7 +245,8 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     r = r0.copy()
 
     omegas = model.residuals(r)
-    cost = robust_cost(model.whitened_norms(r, omegas), tau)
+    norms = model.whitened_norms(r, omegas)
+    cost = robust_cost(norms, tau)
 
     cost_trace = [cost]
     step_trace: list[float] = []
@@ -216,14 +255,15 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     iters = 0
 
     for it in range(cfg.max_outer_iters):
-        weights = irls_weight(model.whitened_norms(r, omegas), tau)
+        weights = irls_weight(norms, tau)
         delta = solve_normal_equations(g, weights, model.effective_precisions(r), omegas)
 
         halvings = 0
         while True:
             r_new = r @ so3.exp_so3(delta)
             omegas_new = model.residuals(r_new)
-            cost_new = robust_cost(model.whitened_norms(r_new, omegas_new), tau)
+            norms_new = model.whitened_norms(r_new, omegas_new)
+            cost_new = robust_cost(norms_new, tau)
             if cost_new <= cost + 1e-12 or halvings >= MAX_HALVINGS:
                 break
             delta = 0.5 * delta
@@ -239,7 +279,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
             break
 
         max_step = float(np.degrees(np.max(np.linalg.norm(delta, axis=1))))
-        r, omegas, cost = r_new, omegas_new, cost_new
+        r, omegas, norms, cost = r_new, omegas_new, norms_new, cost_new
         cost_trace.append(cost)
         step_trace.append(max_step)
         halving_trace.append(halvings)

@@ -15,6 +15,7 @@ import operator
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,15 +197,24 @@ class ViewGraph:
             )
         return np.zeros((0, 3, 3)) if self.hess is None else self.hess
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Component label per vertex, computed once: the edges cannot change."""
         labels = component_labels(self.n, self.i_idx, self.j_idx)
-        order = np.argsort(labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        labels.flags.writeable = False
+        return labels
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, ordered by smallest member.
+
+        The lists are new on every call; changing them changes no later result.
+        """
+        order = np.argsort(self._labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self._labels[order])) + 1
         return [c.tolist() for c in np.split(order, cuts)] if self.n else []
 
     def is_connected(self) -> bool:
-        return self.n > 0 and not component_labels(self.n, self.i_idx, self.j_idx).any()
+        return self.n > 0 and not self._labels.any()
 
     def require_connected(self) -> None:
         if not self.is_connected():

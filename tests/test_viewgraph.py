@@ -99,6 +99,16 @@ class TestViewGraph:
         assert g.components() == [[0, 2, 4], [1, 3, 6], [5], [7]]
         assert ViewGraph(1).is_connected()
 
+    def test_components_mutated_by_caller_change_nothing(self):
+        g = ViewGraph(4, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(2, 3, np.eye(3))])
+        comps = g.components()
+        comps[0].extend([2, 3])
+        comps.pop()
+        assert g.components() == [[0, 1], [2, 3]]
+        assert not g.is_connected()
+        with pytest.raises(ValueError, match=r"component sizes \[2, 2\]"):
+            g.require_connected()
+
     def test_edge_index_arrays(self):
         g = ViewGraph(4, [EdgeMeasurement(1, 3, np.eye(3)), EdgeMeasurement(0, 2, np.eye(3))])
         for arr, want in ((g.i_idx, [1, 0]), (g.j_idx, [3, 2])):
