@@ -1,4 +1,4 @@
-"""Command-line front end: synth, solve, eval, bench subcommands.
+"""Command-line front end: synth, solve, eval subcommands.
 
 Exit codes: 0 success, 1 runtime/configuration failure, 2 usage error.
 Every run can emit a JSON manifest capturing the resolved configuration,
@@ -12,11 +12,10 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, metrics, synth
-from .robust import RobustConfig, write_robust_trace_csv
-from .solver import SolverConfig, write_trace_csv
+from .robust import DEFAULT_TAU_DEG, RobustConfig, write_robust_trace_csv
+from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_OBJECTIVE_TOL, DEFAULT_STEP_TOL_DEG,
+                     SolverConfig, write_trace_csv)
 from .pipeline import run_per_component, run_pipeline
 from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
 
@@ -49,10 +48,6 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     scene = synth.generate_scene(spec)
     graph = scene.graph
-    if args.perturb_sigma_deg > 0 or args.perturb_gamma > 0:
-        graph = synth.perturbed_graph(
-            scene, args.perturb_sigma_deg, args.perturb_gamma, args.seed + 1
-        )
     gen_ms = (time.perf_counter() - t0) * 1e3
     save_view_graph(graph, args.out)
     if args.gt:
@@ -124,41 +119,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bench_timings(n, p, sweeps, robust_kind, seed) -> dict[str, float]:
-    spec = synth.SceneSpec(kind="general", n=n, p=p, seed=seed)
-    scene = synth.generate_scene(spec)
-    cfg = SolverConfig(
-        init="zeros", max_sweeps=sweeps, objective_tol=1e-300,
-        step_tol_deg=1e-300, shuffle_seed=seed, mode="aniso",
-    )
-    return run_pipeline(scene.graph, cfg, robust_kind).timings_ms
-
-
-def cmd_bench(args) -> int:
-    configs = []
-    for item in args.sizes.split(","):
-        n_str, p_str = item.split(":")
-        configs.append((int(n_str), float(p_str)))
-    rows = []
-    for n, p in configs:
-        name = f"n{n}_p{p:g}"
-        per_stage: dict[str, list[float]] = {}
-        for rep in range(args.repeats):
-            timings = _bench_timings(n, p, args.sweeps, args.robust, args.seed + rep)
-            for stage, ms in timings.items():
-                rows.append((name, stage, str(rep), ms))
-                per_stage.setdefault(stage, []).append(ms)
-        for stage, vals in per_stage.items():
-            rows.append((name, stage, "median", float(np.median(vals))))
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("config,stage,rep,millis\n")
-        for cname, stage, rep, ms in rows:
-            f.write(f"{cname},{stage},{rep},{ms:.6g}\n")
-    _write_manifest(args, {})
-    print(f"wrote {len(rows)} timing rows to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotavg",
@@ -186,10 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--mode", choices=["iso", "aniso"], default="aniso")
     p_solve.add_argument("--robust", choices=["none", "irls", "airls"], default="none")
-    p_solve.add_argument("--tau-deg", type=float, default=5.0)
-    p_solve.add_argument("--max-sweeps", type=int, default=1000)
-    p_solve.add_argument("--obj-tol", type=float, default=1e-12)
-    p_solve.add_argument("--step-tol", type=float, default=1e-7)
+    p_solve.add_argument("--tau-deg", type=float, default=DEFAULT_TAU_DEG)
+    p_solve.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    p_solve.add_argument("--obj-tol", type=float, default=DEFAULT_OBJECTIVE_TOL)
+    p_solve.add_argument("--step-tol", type=float, default=DEFAULT_STEP_TOL_DEG)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--per-component", action="store_true")
     p_solve.add_argument("--out", required=True, help="rotation output path")
@@ -205,18 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="metrics JSON path")
     p_eval.add_argument("--manifest", default=None)
     p_eval.set_defaults(func=cmd_eval)
-
-    p_bench = sub.add_parser("bench", help="time solver stages over scene sizes")
-    p_bench.add_argument(
-        "--sizes", required=True, help="comma-separated n:p pairs, e.g. 100:0.5,200:1.0"
-    )
-    p_bench.add_argument("--sweeps", type=int, default=100)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--robust", choices=["none", "irls", "airls"], default="none")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", required=True, help="timing CSV path")
-    p_bench.add_argument("--manifest", default=None)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -47,8 +47,8 @@ def auc(errors_deg, n_deg: float) -> float:
     errors = np.asarray(errors_deg, dtype=float)
     if errors.size == 0:
         raise ValueError("empty error list")
-    if n_deg <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < n_deg < np.inf:  # NaN fails too
+        raise ValueError("threshold must be positive and finite")
     return float(100.0 * np.mean(np.maximum(0.0, n_deg - np.minimum(errors, n_deg)) / n_deg))
 
 

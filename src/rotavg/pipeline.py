@@ -72,7 +72,7 @@ def run_per_component(
         keep = remap[graph.i_idx] >= 0  # an edge lies in one component
         sub = ViewGraph.from_arrays(
             len(comp), remap[graph.i_idx[keep]], remap[graph.j_idx[keep]], graph.rel[keep],
-            None if graph.hess is None else graph.hess[keep], graph.has_hessian[keep],
+            graph.hess[keep], graph.has_hessian[keep],
         )
         rotations[comp] = run_pipeline(sub, cfg, robust_kind, robust_cfg).rotations
     return rotations

@@ -50,10 +50,14 @@ class RobustConfig:
     mode: str = "iso"  # iso | aniso
 
     def __post_init__(self):
-        if self.tau_deg <= 0:
-            raise ValueError("tau_deg must be positive")
+        if not 0 < self.tau_deg < np.inf:  # NaN fails too
+            raise ValueError("tau_deg must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
+        if not self.step_tol_deg > 0:
+            raise ValueError("step_tol_deg must be positive")
+        if self.mode not in ("iso", "aniso"):
+            raise ValueError(f"unknown robust mode {self.mode!r}")
 
 
 @dataclass
@@ -85,7 +89,7 @@ class _EdgeModel:
     def __init__(self, g: ViewGraph, mode: str):
         self.mode = mode
         self.i_idx, self.j_idx = g.i_idx, g.j_idx
-        self.rel = g.rel_stack()
+        self.rel = g.rel
         if mode == "aniso":
             h = g.hessian_stack()
             trace = np.einsum("eaa->e", h)

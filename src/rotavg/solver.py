@@ -33,7 +33,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.objective_tol <= 0 or self.step_tol_deg <= 0:
+        if not (self.objective_tol > 0 and self.step_tol_deg > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
 
 

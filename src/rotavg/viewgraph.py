@@ -50,8 +50,8 @@ class EdgeMeasurement:
 
     def __post_init__(self):
         rel = np.asarray(self.rel, dtype=float)[None]
-        hess = None if self.hessian is None else np.asarray(self.hessian, dtype=float)[None]
-        _check_edges(_endpoints(self.i), _endpoints(self.j), rel, hess)
+        hess = np.asarray(np.zeros((3, 3)) if self.hessian is None else self.hessian, dtype=float)
+        _check_edges(_endpoints(self.i), _endpoints(self.j), rel, hess[None])
 
 
 def _endpoints(x) -> np.ndarray:
@@ -61,7 +61,7 @@ def _endpoints(x) -> np.ndarray:
     return x.astype(np.intp)
 
 
-def _check_edges(i, j, rel, hess=None, n=None) -> None:
+def _check_edges(i, j, rel, hess, n=None) -> None:
     """Raise RowError on the first invalid edge.
 
     Each edge runs the checks in this order: self-edge, canonical order,
@@ -71,15 +71,15 @@ def _check_edges(i, j, rel, hess=None, n=None) -> None:
     row, which stands for an edge without a Hessian, passes.
     """
     every, at = np.ones(len(i), dtype=bool), "edge ({i},{j})"
-    rel_shape, h_shape = rel.shape[1:], None if hess is None else hess.shape[1:]
+    rel_shape, h_shape = rel.shape[1:], hess.shape[1:]
     checks = [(i == j, "self-edge at vertex {i}"), (i > j, at + " not in canonical i<j order")]
     if rel_shape != (3, 3):
         checks.append((every, at + ": relative rotation has shape {rel}, expected (3, 3)"))
     else:
         checks.append((~np.isfinite(rel).all(axis=(1, 2)), at + ": relative rotation not finite"))
-    if h_shape not in (None, (3, 3)):
+    if h_shape != (3, 3):
         checks.append((every, at + ": Hessian has shape {hess}, expected (3, 3)"))
-    elif hess is not None:
+    else:
         finite = np.isfinite(hess).all(axis=(1, 2))
         h = hess if finite.all() else np.where(finite[:, None, None], hess, 0.0)  # no inf - inf
         skew = h - np.swapaxes(h, 1, 2)
@@ -119,18 +119,18 @@ class ViewGraph:
     """n cameras plus undirected relative-rotation measurements, stored as arrays.
 
     `i_idx`, `j_idx` (E,) hold the edge endpoints, `rel` (E, 3, 3) the
-    relative rotations, `hess` (E, 3, 3) the Hessians or None when no edge
-    carries one, and `has_hessian` (E,) which edges do (their other rows of
-    `hess` are zero). All are read-only copies, so the edges cannot change
-    after construction. `edges` is a read-only sequence of `EdgeMeasurement`.
+    relative rotations, `hess` (E, 3, 3) the Hessians, and `has_hessian` (E,)
+    which edges carry one; an edge without one has a zero `hess` row. All are
+    read-only copies, so the edges cannot change after construction. `edges`
+    is a read-only sequence of `EdgeMeasurement`.
     """
 
     def __init__(self, n: int, edges: Iterable[EdgeMeasurement] = ()):
         edges = list(edges)
         has_h = [e.hessian is not None for e in edges]
-        hess = [np.zeros((3, 3)) if e.hessian is None else e.hessian for e in edges]
         rel = np.reshape([e.rel for e in edges], (-1, 3, 3))
-        hess = hess if any(has_h) else None
+        hess = np.reshape([np.zeros((3, 3)) if e.hessian is None else e.hessian for e in edges],
+                          (-1, 3, 3))
         self._store(n, [e.i for e in edges], [e.j for e in edges], rel, hess, has_h)
 
     @classmethod
@@ -138,7 +138,8 @@ class ViewGraph:
         """Graph from edge arrays, checked by the stacked validator.
 
         `has_hessian` (E,) marks the rows of `hess` that are Hessians; by
-        default all are. Raises RowError naming the first invalid edge.
+        default all are, or none if `hess` is None. Raises RowError naming
+        the first invalid edge.
         """
         g = cls.__new__(cls)
         g._store(n, i, j, rel, hess, has_hessian)
@@ -147,19 +148,17 @@ class ViewGraph:
     def _store(self, n, i, j, rel, hess, has_h):
         self.n, self.i_idx, self.j_idx = n, _endpoints(i), _endpoints(j)
         self.rel = np.array(rel, dtype=float)
-        self.hess = None if hess is None else np.array(hess, dtype=float)
+        self.hess = np.zeros((len(self.i_idx), 3, 3)) if hess is None else np.array(hess, dtype=float)
         has_h = np.full(len(self.i_idx), hess is not None) if has_h is None else has_h
         self.has_hessian = np.array(has_h, dtype=bool)
-        arrays = [self.i_idx, self.j_idx, self.rel, self.has_hessian]
-        arrays += [] if self.hess is None else [self.hess]
+        arrays = [self.i_idx, self.j_idx, self.rel, self.has_hessian, self.hess]
         if len({len(a) for a in arrays}) > 1:
             raise ValueError(f"edge arrays disagree in length: {[len(a) for a in arrays]}")
-        if self.hess is not None:
-            self.hess[~self.has_hessian] = 0.0
-        elif self.has_hessian.any():
+        if hess is None and self.has_hessian.any():
             k = int(np.argmax(self.has_hessian))
             at = f"edge ({self.i_idx[k]},{self.j_idx[k]})"
             raise RowError(k, at + " is marked as having a Hessian, but hess is None")
+        self.hess[~self.has_hessian] = 0.0
         for a in arrays:
             a.flags.writeable = False
         _check_edges(self.i_idx, self.j_idx, self.rel, self.hess, n)
@@ -179,10 +178,6 @@ class ViewGraph:
     def has_hessians(self) -> bool:
         return bool(self.has_hessian.all())
 
-    def rel_stack(self) -> np.ndarray:
-        """(E, 3, 3) relative rotations (the stored, read-only array)."""
-        return self.rel
-
     def hessian_stack(self) -> np.ndarray:
         """(E, 3, 3) edge Hessians (the stored, read-only array).
 
@@ -195,7 +190,7 @@ class ViewGraph:
                 f"aniso mode requires a Hessian on every edge; edge "
                 f"({self.i_idx[k]},{self.j_idx[k]}) has none"
             )
-        return np.zeros((0, 3, 3)) if self.hess is None else self.hess
+        return self.hess
 
     @cached_property
     def _labels(self) -> np.ndarray:
@@ -310,8 +305,7 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
     """
     if mode not in ("iso", "aniso"):
         raise ValueError(f"unknown mode {mode!r}")
-    rel = g.rel_stack()
-    lower = anisotropic_weight(g.hessian_stack()) @ rel if mode == "aniso" else rel
+    lower = anisotropic_weight(g.hessian_stack()) @ g.rel if mode == "aniso" else g.rel
     return ConnectionBlocks(g.n, g.i_idx, g.j_idx, lower)
 
 
@@ -325,7 +319,7 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
     from scipy.sparse import coo_matrix, csgraph
 
     g.require_connected()
-    key = -np.trace(g.hess, axis1=1, axis2=2) if g.has_hessians and g.hess is not None else 1.0
+    key = -np.trace(g.hess, axis1=1, axis2=2) if g.has_hessians else 1.0
     order = np.lexsort((g.j_idx, g.i_idx, np.broadcast_to(key, g.i_idx.shape)))
     # Weighted by rank in that order, all weights differ: the minimum spanning
     # tree is unique and is the one Kruskal's algorithm takes in that order.
@@ -360,9 +354,8 @@ def save_view_graph(g: ViewGraph, path) -> None:
     """Write the text format: VGRAPH header plus one EDGE line per edge."""
     plain = "EDGE %d %d " + _MATRIX_FMT
     with_h = plain + " H " + _MATRIX_FMT
-    hess = np.zeros_like(g.rel) if g.hess is None else g.hess
     rows = zip(g.i_idx.tolist(), g.j_idx.tolist(), g.rel.reshape(-1, 9).tolist(),
-               hess.reshape(-1, 9).tolist(), g.has_hessian)
+               g.hess.reshape(-1, 9).tolist(), g.has_hessian)
     lines = [with_h % (i, j, *r, *h) if has else plain % (i, j, *r) for i, j, r, h, has in rows]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join([f"VGRAPH 1 {g.n}"] + lines) + "\n")
@@ -450,7 +443,7 @@ def load_view_graph(path) -> ViewGraph:
         faults.append((lines[exc.index], str(exc)))
         cut = exc.index  # a fault on a later edge cannot come first
     ids = np.reshape(ids, (-1, 2))[:cut]
-    hess = vals[:cut, 9:].reshape(-1, 3, 3) if any(has_h) else None
+    hess = vals[:cut, 9:].reshape(-1, 3, 3)
     try:
         g = ViewGraph.from_arrays(n, ids[:, 0], ids[:, 1], rel[:cut], hess, has_h[:cut])
     except RowError as exc:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rotavg.cli import main
-from rotavg.viewgraph import load_rotations, load_view_graph
+from rotavg.synth import SceneSpec, generate_scene, perturbed_graph
+from rotavg.viewgraph import load_rotations, load_view_graph, save_view_graph
 
 
 def run(argv):
@@ -45,6 +46,14 @@ class TestSynth:
         assert data["subcommand"] == "synth"
         assert data["config"]["seed"] == 0
         assert "timings_ms" in data and "version" in data
+
+    def test_perturbed_scene_is_perturbed_graph(self, tmp_path):
+        args = ["synth", "--kind", "general", "--n", 30, "--p", 0.4, "--seed", 3]
+        vg, want = tmp_path / "p.vg", tmp_path / "want.vg"
+        assert run(args + ["--perturb-sigma-deg", 10, "--perturb-gamma", 0.2, "--out", vg]) == 0
+        scene = generate_scene(SceneSpec(kind="general", n=30, p=0.4, seed=3))
+        save_view_graph(perturbed_graph(scene, 10.0, 0.2, 4), want)
+        assert vg.read_bytes() == want.read_bytes()
 
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +132,21 @@ class TestSolveEval:
         assert code == 1
         assert "line 2: edge (0,1): Hessian not finite" in capsys.readouterr().err
 
+    def test_nan_tau_exit_1(self, noiseless_loop, tmp_path, capsys):
+        vg, _ = noiseless_loop
+        code = run(["solve", "--in", vg, "--robust", "irls", "--tau-deg", "nan",
+                    "--out", tmp_path / "e.rot"])
+        assert code == 1
+        assert "tau_deg must be positive" in capsys.readouterr().err
+
+    def test_eval_nan_auc_exit_1(self, noiseless_loop, tmp_path, capsys):
+        vg, gt = noiseless_loop
+        mj = tmp_path / "m.json"
+        code = run(["eval", "--est", gt, "--gt", gt, "--auc", "1,nan", "--out", mj])
+        assert code == 1
+        assert "threshold must be positive" in capsys.readouterr().err
+        assert not mj.exists()
+
     def test_eval_camera_count_mismatch_exit_1(self, noiseless_loop, tmp_path, capsys):
         vg, gt = noiseless_loop
         short = tmp_path / "short.rot"
@@ -152,15 +176,11 @@ class TestSolveEval:
         assert iso.read_bytes() == aniso.read_bytes()
 
 
-class TestBench:
-    def test_csv_shape(self, tmp_path):
-        out = tmp_path / "b.csv"
-        assert run(["bench", "--sizes", "20:0.5", "--sweeps", 5, "--repeats", 5,
-                    "--seed", 0, "--out", out]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "config,stage,rep,millis"
-        rows = [ln.split(",") for ln in lines[1:]]
-        stages = {r[1] for r in rows}
-        for stage in stages:
-            reps = [r[2] for r in rows if r[1] == stage]
-            assert sorted(reps) == sorted(["0", "1", "2", "3", "4", "median"])
+def test_subcommands_are_synth_solve_eval(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "{synth,solve,eval}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--sizes", "20:0.5", "--out", "b.csv"])
+    assert exc.value.code == 2

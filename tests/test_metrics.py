@@ -100,6 +100,10 @@ class TestAuc:
             auc([], 5.0)
         with pytest.raises(ValueError, match="positive"):
             auc([1.0], 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            auc([1.0], float("nan"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            auc([1.0], float("inf"))
 
 
 class TestAverageAccuracy:

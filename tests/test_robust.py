@@ -265,6 +265,20 @@ class TestRobustRefine:
         with pytest.raises(ValueError, match="max_outer_iters"):
             RobustConfig(max_outer_iters=0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("tau_deg", float("nan"), "tau_deg must be positive"),
+        ("tau_deg", -1.0, "tau_deg must be positive"),
+        ("tau_deg", float("inf"), "tau_deg must be positive and finite"),
+        ("step_tol_deg", float("nan"), "step_tol_deg must be positive"),
+        ("step_tol_deg", 0.0, "step_tol_deg must be positive"),
+        ("step_tol_deg", -1e-6, "step_tol_deg must be positive"),
+        ("mode", "Aniso", "unknown robust mode 'Aniso'"),
+        ("mode", "airls", "unknown robust mode 'airls'"),
+    ])
+    def test_config_rejects_nan_negative_and_unknown_mode(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            RobustConfig(**{field: value})
+
     def test_fixed_point_on_noiseless_data(self):
         rng = np.random.default_rng(5)
         g, gt = noisy_graph(6, rng, sigma=0.0)

@@ -49,6 +49,10 @@ class TestSolverConfig:
             SolverConfig(objective_tol=0.0)
         with pytest.raises(ValueError, match="tolerances"):
             SolverConfig(step_tol_deg=-1.0)
+        with pytest.raises(ValueError, match="tolerances"):
+            SolverConfig(objective_tol=float("nan"))
+        with pytest.raises(ValueError, match="tolerances"):
+            SolverConfig(step_tol_deg=float("nan"))
 
     def test_rejects_zero_sweeps(self):
         with pytest.raises(ValueError, match="max_sweeps"):

@@ -29,6 +29,8 @@ class TestSceneSpec:
             SceneSpec(p=1.5)
         with pytest.raises(ValueError, match="nonnegative"):
             SceneSpec(perturb_gamma=-0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SceneSpec(perturb_sigma_deg=float("nan"))
 
 
 class TestSampleHessian:
@@ -185,6 +187,19 @@ class TestGenerateScene:
             np.testing.assert_array_equal(orig.rel, pert.rel)
             assert not np.allclose(orig.hessian, pert.hessian)
 
+    @pytest.mark.parametrize("kind, sigma_deg, gamma", [("general", 30.0, 0.5), ("loop", 10.0, 0.0),
+                                                        ("general", 0.0, 0.2)])
+    def test_spec_perturbation_applied(self, kind, sigma_deg, gamma):
+        """A perturbed spec gives perturbed_graph of the unperturbed scene, seeded from seed + 1."""
+        plain = SceneSpec(kind=kind, n=15, p=0.5 if kind == "general" else None, seed=21)
+        spec = SceneSpec(**{**vars(plain), "perturb_sigma_deg": sigma_deg, "perturb_gamma": gamma})
+        base, sc = generate_scene(plain), generate_scene(spec)
+        want = perturbed_graph(base, sigma_deg, gamma, 22)
+        assert np.array_equal(sc.ground_truth, base.ground_truth)
+        for a, b in ((sc.graph.rel, want.rel), (sc.graph.hess, want.hess), (sc.graph.i_idx, want.i_idx)):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(sc.graph.hess, base.graph.hess)
+
 
 def reference_scene(spec):
     """generate_scene one edge at a time: the scalar sample_hessian, apply_noise
@@ -220,7 +235,7 @@ def assert_graph_equals_edges(g, edges):
     assert g.n >= 1 and len(g.edges) == len(edges)
     np.testing.assert_array_equal(g.i_idx, [e.i for e in edges])
     np.testing.assert_array_equal(g.j_idx, [e.j for e in edges])
-    assert np.array_equal(g.rel_stack(), np.stack([e.rel for e in edges]))
+    assert np.array_equal(g.rel, np.stack([e.rel for e in edges]))
     assert np.array_equal(g.hessian_stack(), np.stack([e.hessian for e in edges]))
 
 

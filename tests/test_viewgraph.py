@@ -170,7 +170,7 @@ class TestFromArrays:
         i, j, rel, hess = valid_arrays(np.random.default_rng(20))
         g = ViewGraph.from_arrays(6, i, j, rel, hess)
         assert g.has_hessians and len(g.edges) == 5
-        for arr, want in ((g.i_idx, i), (g.j_idx, j), (g.rel_stack(), rel), (g.hessian_stack(), hess)):
+        for arr, want in ((g.i_idx, i), (g.j_idx, j), (g.rel, rel), (g.hessian_stack(), hess)):
             np.testing.assert_array_equal(arr, want)
         for k, e in enumerate(g.edges):
             assert (e.i, e.j) == (i[k], j[k]) and isinstance(e, EdgeMeasurement)
@@ -248,6 +248,25 @@ class TestFromArrays:
             ViewGraph.from_arrays(6, i, j, rel, None, has)
         assert info.value.index == 2
         assert not ViewGraph.from_arrays(6, i, j, rel, None, np.zeros(5, dtype=bool)).has_hessians
+
+    def test_graph_without_hessians(self, tmp_path):
+        """No Hessians, built through the API or loaded from a file: the same
+        read-only zero `hess`, the same error and the same saved bytes."""
+        i, j, rel, _ = valid_arrays(np.random.default_rng(30))
+        api = ViewGraph(6, [EdgeMeasurement(*e) for e in zip(i.tolist(), j.tolist(), rel)])
+        path = tmp_path / "bare.vg"
+        save_view_graph(api, path)
+        assert " H " not in path.read_text()
+        for k, g in enumerate((api, ViewGraph.from_arrays(6, i, j, rel), load_view_graph(path))):
+            assert g.hess.shape == (5, 3, 3) and not g.hess.any() and not g.has_hessians
+            assert all(e.hessian is None for e in g.edges)
+            with pytest.raises(ValueError, match="read-only"):
+                g.hess[0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match=r"edge \(0,1\) has none"):
+                g.hessian_stack()
+            save_view_graph(g, tmp_path / f"{k}.vg")
+            assert (tmp_path / f"{k}.vg").read_bytes() == path.read_bytes()
+        assert ViewGraph(3).hess.shape == (0, 3, 3)
 
     def test_mixed_hessians(self, tmp_path):
         """Some edges with a Hessian, some without: kept per edge, aniso refused."""
