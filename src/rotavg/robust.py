@@ -33,6 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
+from .solver import check_count
 from .viewgraph import ViewGraph, clamp_psd
 
 DEFAULT_TAU_DEG = 5.0
@@ -52,8 +53,7 @@ class RobustConfig:
     def __post_init__(self):
         if not 0 < self.tau_deg < np.inf:  # NaN fails too
             raise ValueError("tau_deg must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        check_count(self.max_outer_iters, "max_outer_iters")
         if not self.step_tol_deg > 0:
             raise ValueError("step_tol_deg must be positive")
         if self.mode not in ("iso", "aniso"):

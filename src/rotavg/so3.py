@@ -64,19 +64,19 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray | None:
     # this must come before the zero test.
     if info != 0:
         raise np.linalg.LinAlgError("SVD did not converge")
-    if s[0] < _DEGENERATE_SV:
+    if s.item(0) < _DEGENERATE_SV:
         return None
-    if _det3(u.tolist()) * _det3(vt.tolist()) < 0.0:
+    # det(U V^T) = det(U) det(V^T) = +-1, far from 0, so rounding cannot flip its sign.
+    q = u.dot(vt)
+    if _det3(q.tolist()) < 0.0:
         u[:, 2] = -u[:, 2]
-    return u @ vt
+        q = u.dot(vt)
+    return q
 
 
 def _det3(m: list[list[float]]) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def project_so3(m: np.ndarray) -> np.ndarray:

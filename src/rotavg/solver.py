@@ -8,6 +8,7 @@ subproblem globally; sweeps visit cameras in a fresh seeded shuffle.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +22,16 @@ DEFAULT_OBJECTIVE_TOL = 1e-12
 DEFAULT_STEP_TOL_DEG = 1e-7
 
 
+def check_count(value, name: str) -> None:
+    """Raise ValueError unless `value` is an integer >= 1; numpy integers pass."""
+    try:
+        ok = operator.index(value) >= 1
+    except TypeError:  # 2.5, nan, "3"
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     init: str = "zeros"  # zeros | identity | random | mst
@@ -31,8 +42,11 @@ class SolverConfig:
     mode: str = "aniso"
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        if self.init not in ("zeros", "identity", "random", "mst"):
+            raise ValueError(f"unknown init {self.init!r}")
+        if self.mode not in ("iso", "aniso"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        check_count(self.max_sweeps, "max_sweeps")
         if not (self.objective_tol > 0 and self.step_tol_deg > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
 
@@ -95,7 +109,7 @@ def _block_update(indices, coeffs, r, k) -> np.ndarray | None:
     Raises:
         np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite G.
     """
-    return so3.nearest_rotation(coeffs[k] @ r.take(indices[k], axis=0).reshape(-1, 3))
+    return so3.nearest_rotation(coeffs[k].dot(r.take(indices[k], axis=0).reshape(-1, 3)))
 
 
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:

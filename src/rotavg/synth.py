@@ -37,6 +37,8 @@ class SceneSpec:
             raise ValueError("need at least 2 cameras")
         if self.p is not None and not (0.0 < self.p <= 1.0):
             raise ValueError("edge fraction p must be in (0, 1]")
+        if not 0 <= self.noise_scale < np.inf:  # NaN fails too
+            raise ValueError("noise_scale must be finite and nonnegative")
         if not (self.perturb_sigma_deg >= 0 and self.perturb_gamma >= 0):  # NaN fails too
             raise ValueError("perturbation magnitudes must be nonnegative")
 

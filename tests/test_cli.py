@@ -55,6 +55,13 @@ class TestSynth:
         save_view_graph(perturbed_graph(scene, 10.0, 0.2, 4), want)
         assert vg.read_bytes() == want.read_bytes()
 
+    def test_nan_noise_scale_exit_1(self, tmp_path, capsys):
+        vg = tmp_path / "s.vg"
+        code = run(["synth", "--kind", "loop", "--n", 5, "--noise-scale", "nan", "--out", vg])
+        assert code == 1
+        assert "noise_scale" in capsys.readouterr().err
+        assert not vg.exists()
+
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["synth", "--kind", "loop", "--whatever", 1, "--out", tmp_path / "x"])

@@ -279,6 +279,14 @@ class TestRobustRefine:
         with pytest.raises(ValueError, match=match):
             RobustConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), "3", -1])
+    def test_config_rejects_non_integer_iters(self, value):
+        with pytest.raises(ValueError, match="max_outer_iters must be an integer >= 1"):
+            RobustConfig(max_outer_iters=value)
+
+    def test_config_numpy_integer_iters_pass(self):
+        assert RobustConfig(max_outer_iters=np.int32(3)).max_outer_iters == 3
+
     def test_fixed_point_on_noiseless_data(self):
         rng = np.random.default_rng(5)
         g, gt = noisy_graph(6, rng, sigma=0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgesdd
 from scipy.spatial.transform import Rotation
 
 from rotavg import so3
@@ -57,9 +58,61 @@ class TestProjectSO3:
             so3.project_so3(m)
 
 
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def two_determinant_rule(m):
+    """The projection with its sign from det(U) det(V^T), formed after the flip."""
+    u, s, vt, info = dgesdd(m)
+    assert info == 0
+    if s[0] < 1e-12:
+        return None
+    if _det3(u.tolist()) * _det3(vt.tolist()) < 0.0:
+        u[:, 2] = -u[:, 2]
+    return u @ vt
+
+
+def kernel_inputs(seed=0, per_kind=2000):
+    """Scaled, rank-deficient, reflected and diagonal 3x3 matrices, plus (near-)zeros."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-10, 10, (per_kind, 1, 1))
+    a, b = rng.standard_normal((2, per_kind, 3, 1)), rng.standard_normal((2, per_kind, 1, 3))
+    rot = so3.quaternion_rotation(rng.standard_normal((per_kind, 4)))
+    flip = np.diag([1.0, 1.0, -1.0])
+    signs = rng.choice([-1.0, 1.0], (per_kind, 3)) * rng.uniform(0.1, 10.0, (per_kind, 3))
+    kinds = [
+        scale * rng.standard_normal((per_kind, 3, 3)),
+        scale * (a[0] @ b[0]),  # rank 1
+        scale * (a[0] @ b[0] + a[1] @ b[1]),  # rank 2
+        scale * (rot @ flip),  # reflections
+        np.einsum("ka,ab->kab", signs, np.eye(3)),  # signed diagonals
+        1e-13 * rng.standard_normal((10, 3, 3)),
+        np.zeros((1, 3, 3)),
+    ]
+    return np.concatenate(kinds)
+
+
 class TestNearestRotation:
     def test_zero_matrix_is_none(self):
         assert so3.nearest_rotation(np.zeros((3, 3))) is None
+
+    def test_matches_two_determinant_rule(self):
+        mats = kernel_inputs()
+        assert len(mats) >= 10000
+        nones = 0
+        for m in mats:
+            want, got = two_determinant_rule(m.copy()), so3.nearest_rotation(m.copy())
+            if want is None:
+                assert got is None
+                nones += 1
+            else:
+                assert np.array_equal(got, want)
+        assert nones == 11
 
 
 class TestExpLog:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotavg import so3
+from rotavg import so3, solver
 from rotavg.solver import (
     SolveResult,
     SolverConfig,
@@ -57,6 +57,24 @@ class TestSolverConfig:
     def test_rejects_zero_sweeps(self):
         with pytest.raises(ValueError, match="max_sweeps"):
             SolverConfig(max_sweeps=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3", None])
+    def test_rejects_non_integer_sweeps(self, value):
+        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
+            SolverConfig(max_sweeps=value)
+
+    def test_numpy_integer_sweeps_pass(self):
+        assert SolverConfig(max_sweeps=np.int64(3)).max_sweeps == 3
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("init", "centroid", "unknown init 'centroid'"),
+        ("init", "Zeros", "unknown init 'Zeros'"),
+        ("mode", "h2i", "unknown mode 'h2i'"),
+        ("mode", "ANISO", "unknown mode 'ANISO'"),
+    ])
+    def test_rejects_unknown_init_and_mode(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**{field: value})
 
 
 class TestMakeInit:
@@ -160,6 +178,27 @@ class TestCoordinateUpdate:
 
 
 class TestAcdSolve:
+    def test_one_svd_per_camera_per_sweep(self, monkeypatch):
+        sc = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=2))
+        nb = assemble_blocks(sc.graph, "aniso")
+        svd_calls, at_objective = [], []
+        real_dgesdd, real_objective = so3.dgesdd, solver.objective
+
+        def counting_dgesdd(m):
+            svd_calls.append(1)
+            return real_dgesdd(m)
+
+        def marking_objective(nb, r):
+            at_objective.append(len(svd_calls))
+            return real_objective(nb, r)
+
+        monkeypatch.setattr(so3, "dgesdd", counting_dgesdd)
+        monkeypatch.setattr(solver, "objective", marking_objective)
+        res = acd_solve(nb, SolverConfig(max_sweeps=6), make_init("identity", 30))
+        assert res.sweeps_run == 6
+        # One objective before the first sweep and one after each sweep.
+        assert at_objective == [30 * s for s in range(7)]
+
     @pytest.mark.parametrize("init", ["zeros", "identity"])
     def test_nan_block_raises(self, init):
         with pytest.raises(np.linalg.LinAlgError):

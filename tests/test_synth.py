@@ -31,6 +31,10 @@ class TestSceneSpec:
             SceneSpec(perturb_gamma=-0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             SceneSpec(perturb_sigma_deg=float("nan"))
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+                SceneSpec(noise_scale=bad)
+        assert SceneSpec(noise_scale=0.0).noise_scale == 0.0
 
 
 class TestSampleHessian:
