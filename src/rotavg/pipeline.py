@@ -20,12 +20,6 @@ class PipelineResult:
     timings_ms: dict[str, float]
 
 
-def initial_stack(graph: ViewGraph, kind: str, seed: int) -> np.ndarray:
-    if kind == "mst":
-        return chain_init(graph, spanning_tree(graph))
-    return make_init(kind, graph.n, seed)
-
-
 def run_pipeline(
     graph: ViewGraph,
     cfg: SolverConfig,
@@ -41,7 +35,10 @@ def run_pipeline(
     blocks = assemble_blocks(graph, cfg.mode)
     timings["assemble"] = (time.perf_counter() - t0) * 1e3
 
-    init = initial_stack(graph, cfg.init, cfg.shuffle_seed)
+    if cfg.init == "mst":
+        init = chain_init(graph, spanning_tree(graph))
+    else:
+        init = make_init(cfg.init, graph.n, cfg.shuffle_seed)
     t0 = time.perf_counter()
     solve = acd_solve(blocks, cfg, init)
     timings["solve"] = (time.perf_counter() - t0) * 1e3

@@ -33,8 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .solver import check_count
-from .viewgraph import ViewGraph, clamp_psd
+from .viewgraph import ViewGraph, check_count, clamp_psd
 
 DEFAULT_TAU_DEG = 5.0
 MAX_HALVINGS = 10
@@ -239,6 +238,11 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     Outer loop: residuals, Geman-McClure weights at scale tau on whitened
     residual norms, sparse weighted least-squares step, safeguarded update
     R_i <- R_i exp(delta_i) with step halving on cost increase.
+
+    A step is accepted once the robust cost does not rise by more than 1e-12.
+    If it still rises after MAX_HALVINGS halvings, the refinement ends
+    "stalled": it keeps the last iterate and appends the unchanged cost, a
+    step of 0.0 and MAX_HALVINGS halvings to the traces.
     """
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (g.n, 3, 3):
@@ -251,54 +255,37 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     omegas = model.residuals(r)
     norms = model.whitened_norms(r, omegas)
     cost = robust_cost(norms, tau)
+    result = RefineResult(rotations=r, cost_trace=[cost])
 
-    cost_trace = [cost]
-    step_trace: list[float] = []
-    halving_trace: list[int] = []
-    status = "max_iters_reached"
-    iters = 0
-
-    for it in range(cfg.max_outer_iters):
+    for _ in range(cfg.max_outer_iters):
+        result.iters_run += 1
         weights = irls_weight(norms, tau)
         delta = solve_normal_equations(g, weights, model.effective_precisions(r), omegas)
-
-        halvings = 0
-        while True:
+        for halvings in range(MAX_HALVINGS + 1):
             r_new = r @ so3.exp_so3(delta)
             omegas_new = model.residuals(r_new)
             norms_new = model.whitened_norms(r_new, omegas_new)
             cost_new = robust_cost(norms_new, tau)
-            if cost_new <= cost + 1e-12 or halvings >= MAX_HALVINGS:
+            if cost_new <= cost + 1e-12:
                 break
             delta = 0.5 * delta
-            halvings += 1
-
-        iters = it + 1
-        if cost_new > cost + 1e-12:
-            # No acceptable step even after halving; keep the last iterate.
-            halving_trace.append(halvings)
-            step_trace.append(0.0)
-            cost_trace.append(cost)
-            status = "stalled"
+        else:
+            result.status = "stalled"
+            result.cost_trace.append(cost)
+            result.max_step_trace.append(0.0)
+            result.halving_trace.append(MAX_HALVINGS)
             break
 
         max_step = float(np.degrees(np.max(np.linalg.norm(delta, axis=1))))
         r, omegas, norms, cost = r_new, omegas_new, norms_new, cost_new
-        cost_trace.append(cost)
-        step_trace.append(max_step)
-        halving_trace.append(halvings)
+        result.cost_trace.append(cost)
+        result.max_step_trace.append(max_step)
+        result.halving_trace.append(halvings)
         if max_step < cfg.step_tol_deg:
-            status = "converged"
+            result.status = "converged"
             break
-
-    return RefineResult(
-        rotations=r,
-        cost_trace=cost_trace,
-        max_step_trace=step_trace,
-        halving_trace=halving_trace,
-        iters_run=iters,
-        status=status,
-    )
+    result.rotations = r
+    return result
 
 
 def write_robust_trace_csv(result: RefineResult, path) -> None:

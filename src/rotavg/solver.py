@@ -8,28 +8,17 @@ subproblem globally; sweeps visit cameras in a fresh seeded shuffle.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
-from .viewgraph import ConnectionBlocks
+from .viewgraph import ConnectionBlocks, check_count
 
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_OBJECTIVE_TOL = 1e-12
 DEFAULT_STEP_TOL_DEG = 1e-7
-
-
-def check_count(value, name: str) -> None:
-    """Raise ValueError unless `value` is an integer >= 1; numpy integers pass."""
-    try:
-        ok = operator.index(value) >= 1
-    except TypeError:  # 2.5, nan, "3"
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -90,25 +79,21 @@ def coordinate_update(nb: ConnectionBlocks, r: np.ndarray, k: int) -> np.ndarray
 
     The update acd_solve applies, with the identity where the gathered term
     is (near) zero. An isolated vertex also gets the identity, with a warning.
-    """
-    indices, coeffs = nb.neighbor_tables()
-    if len(indices[k]) == 0:
-        warnings.warn(f"vertex {k} has no incident edges; using identity")
-        return np.eye(3)
-    new_rk = _block_update(indices, coeffs, r, k)
-    return np.eye(3) if new_rk is None else new_rk
-
-
-def _block_update(indices, coeffs, r, k) -> np.ndarray | None:
-    """Closed-form minimizer for camera k given the others, or None.
-
-    Gathers G = sum over neighbors m of N_{m,k}^T R_m and returns its SO(3)
-    projection `so3.nearest_rotation(G)`: None when G is (near) zero, as for
-    a camera whose neighbors are all still unassigned.
 
     Raises:
-        np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite G.
+        np.linalg.LinAlgError: if the SVD fails, e.g. on a non-finite gathered term.
     """
+    indices, coeffs = nb.neighbor_tables()
+    new_rk = _gather_project(indices, coeffs, r, k)
+    if new_rk is None:
+        if len(indices[k]) == 0:
+            warnings.warn(f"vertex {k} has no incident edges; using identity")
+        return np.eye(3)
+    return new_rk
+
+
+def _gather_project(indices, coeffs, r, k) -> np.ndarray | None:
+    """SO(3) projection of G = sum over neighbors m of N_{m,k}^T R_m; None if G is (near) zero."""
     return so3.nearest_rotation(coeffs[k].dot(r.take(indices[k], axis=0).reshape(-1, 3)))
 
 
@@ -120,14 +105,18 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     by (shuffle_seed, sweep index). Converged means the relative objective
     decrease and the max per-camera step both fell below their tolerances.
 
-    Zero-start handling: a gathered term that is (near) zero because all
-    neighbors are still unassigned leaves the block unassigned during the
-    main pass; the first such vertex of the run is seeded with the identity.
-    After the main pass the sweep re-visits still-unassigned vertices until
-    everything is assigned, so rotations chain outward from a single seed
+    Zero-start handling: a block equal to zero is unassigned. An unassigned
+    camera whose gathered term is (near) zero, because all its neighbors are
+    still unassigned, waits; the first such camera of the run is seeded with
+    the identity instead. A sweep passes over its waiting cameras again, in
+    order, until none waits, so rotations chain outward from a single seed
     and every camera holds a valid rotation once the first sweep finishes.
-    Chaining from one seed is what makes the zero start land in a good
-    basin instead of scattering identity islands across the graph.
+    If every camera of a pass waits, the rest of the graph is not connected
+    to the assigned cameras, and the first of them becomes a new identity
+    seed. Chaining from one seed is what makes the zero start land in a good
+    basin instead of scattering identity islands across the graph. An
+    unassigned isolated camera gets the identity, with a warning, and does
+    not take the seed.
     """
     n = nb.n
     r = np.array(init, dtype=float, copy=True)
@@ -139,35 +128,25 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     step_trace: list[float] = []
     prev_obj = objective(nb, r)
     status = "max_sweeps_reached"
-    sweeps = 0
-    # Blocks equal to zero are "unassigned" (the permitted zero-init state).
     assigned = np.any(r, axis=(1, 2)).tolist()
     seeded = any(assigned)
 
     two_sqrt2 = 2.0 * math.sqrt(2.0)
 
-    def update(k: int) -> float:
-        """Apply camera k's block update; returns its angle in degrees.
-
-        Returns -1.0 when all of k's neighbors are still unassigned and the
-        block is left untouched (or seeded, if no seed exists yet).
-        """
+    def update(k: int) -> float | None:
+        """Apply camera k's block update; its step in degrees, or None while k waits."""
         nonlocal seeded
-        if len(indices[k]) == 0:
-            if not assigned[k]:
-                warnings.warn(f"vertex {k} has no incident edges; using identity")
-                r[k] = np.eye(3)
-                assigned[k] = True
-                return 180.0
-            return 0.0
-        new_rk = _block_update(indices, coeffs, r, k)
+        new_rk = _gather_project(indices, coeffs, r, k)
         if new_rk is None:
-            if not seeded:
-                r[k] = np.eye(3)
-                assigned[k] = True
+            if assigned[k]:
+                return 0.0
+            if len(indices[k]) == 0:
+                warnings.warn(f"vertex {k} has no incident edges; using identity")
+            elif seeded:
+                return None
+            else:
                 seeded = True
-                return 180.0
-            return -1.0
+            new_rk = np.eye(3)
         if assigned[k]:
             # Geodesic step from the chordal gap: |R1 - R2|_F = 2*sqrt(2)*sin(theta/2)
             gap = math.dist(new_rk.ravel().tolist(), r[k].ravel().tolist())
@@ -179,35 +158,28 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         return step
 
     for sweep in range(cfg.max_sweeps):
-        rng = np.random.default_rng([cfg.shuffle_seed, sweep])
-        order = rng.permutation(n).tolist()
+        pending = np.random.default_rng([cfg.shuffle_seed, sweep]).permutation(n).tolist()
         max_step = 0.0
-        for k in order:
-            step = update(k)
-            if step > max_step:
-                max_step = step
-        # Completion passes: chain any still-unassigned vertices within this
-        # sweep so the whole stack is valid before convergence is judged.
-        while not all(assigned):
-            progress = False
-            for k in order:
-                if not assigned[k] and update(k) >= 0.0:
-                    progress = True
-            if not progress:
-                # No unassigned vertex touches the assigned set: the graph is
-                # disconnected, so seed the next component and keep chaining.
-                k = next(v for v in order if not assigned[v])
+        while pending:
+            waited = []
+            for k in pending:
+                step = update(k)
+                if step is None:
+                    waited.append(k)
+                elif step > max_step:
+                    max_step = step
+            if len(waited) == len(pending):
+                k = waited.pop(0)
                 warnings.warn(
                     f"vertex {k} is unreachable from the seeded component; "
                     "starting a new identity seed"
                 )
                 r[k] = np.eye(3)
                 assigned[k] = True
-            max_step = 180.0
+            pending = waited
         cur_obj = objective(nb, r)
         obj_trace.append(cur_obj)
         step_trace.append(max_step)
-        sweeps = sweep + 1
         rel_decrease = abs(prev_obj - cur_obj) / max(1.0, abs(cur_obj))
         prev_obj = cur_obj
         if rel_decrease < cfg.objective_tol and max_step < cfg.step_tol_deg:
@@ -218,7 +190,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         rotations=r,
         objective_trace=obj_trace,
         max_step_trace=step_trace,
-        sweeps_run=sweeps,
+        sweeps_run=len(obj_trace),
         status=status,
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .viewgraph import ViewGraph
+from .viewgraph import ViewGraph, check_count
 
 EIGENVALUE_LOWER_LO = 10.0
 EIGENVALUE_LOWER_HI = 100.0
@@ -33,8 +33,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in ("loop", "general"):
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("need at least 2 cameras")
+        check_count(self.n, "number of cameras n", minimum=2)
         if self.p is not None and not (0.0 < self.p <= 1.0):
             raise ValueError("edge fraction p must be in (0, 1]")
         if not 0 <= self.noise_scale < np.inf:  # NaN fails too

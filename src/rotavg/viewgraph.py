@@ -54,6 +54,16 @@ class EdgeMeasurement:
         _check_edges(_endpoints(self.i), _endpoints(self.j), rel, hess[None])
 
 
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Raise ValueError unless `value` is an integer >= minimum; numpy integers pass."""
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:  # 2.5, nan, "3"
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _endpoints(x) -> np.ndarray:
     x = np.asarray(x).reshape(-1)
     if x.size and x.dtype.kind not in "iu":
@@ -146,6 +156,7 @@ class ViewGraph:
         return g
 
     def _store(self, n, i, j, rel, hess, has_h):
+        check_count(n, "number of cameras n", minimum=0)
         self.n, self.i_idx, self.j_idx = n, _endpoints(i), _endpoints(j)
         self.rel = np.array(rel, dtype=float)
         self.hess = np.zeros((len(self.i_idx), 3, 3)) if hess is None else np.array(hess, dtype=float)
@@ -194,8 +205,14 @@ class ViewGraph:
 
     @cached_property
     def _labels(self) -> np.ndarray:
-        """Component label per vertex, computed once: the edges cannot change."""
-        labels = component_labels(self.n, self.i_idx, self.j_idx)
+        """Component label per vertex, numbered by smallest member; the edges are fixed."""
+        from scipy.sparse import coo_matrix, csgraph  # here: csgraph costs about 1 MB of memory
+
+        adjacency = coo_matrix((np.ones(len(self.i_idx)), (self.i_idx, self.j_idx)),
+                               shape=(self.n, self.n))
+        _, labels = csgraph.connected_components(adjacency, directed=False)
+        _, first = np.unique(labels, return_index=True)
+        labels = np.argsort(np.argsort(first))[labels]
         labels.flags.writeable = False
         return labels
 
@@ -215,16 +232,6 @@ class ViewGraph:
         if not self.is_connected():
             sizes = [len(c) for c in self.components()]
             raise ValueError(f"graph is disconnected: component sizes {sizes}")
-
-
-def component_labels(n: int, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-    """(n,) component label per vertex, numbered in order of smallest member."""
-    from scipy.sparse import coo_matrix, csgraph  # here: csgraph costs about 1 MB of memory
-
-    adjacency = coo_matrix((np.ones(len(i_idx)), (i_idx, j_idx)), shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    return np.argsort(np.argsort(first))[labels]
 
 
 def anisotropic_weight(h: np.ndarray) -> np.ndarray:
@@ -424,9 +431,10 @@ def load_view_graph(path) -> ViewGraph:
                     raise GraphFormatError("bad VGRAPH header")
                 if n is not None:
                     raise GraphFormatError("second VGRAPH header")
-                n = int(tok[2])
-                if n < 1:
-                    raise GraphFormatError(f"camera count {n} is not positive")
+                count = int(tok[2])
+                if count < 1:
+                    raise GraphFormatError(f"camera count {count} is not positive")
+                n = count
             else:
                 raise GraphFormatError(f"unknown record {tok[0]!r}")
         except ValueError as exc:

@@ -295,6 +295,22 @@ class TestRobustRefine:
         assert res.cost_trace[0] == pytest.approx(0.0, abs=1e-15)
         assert res.status == "converged"
 
+    def test_stalled_keeps_last_iterate(self, monkeypatch):
+        """A step that raises the cost even after every halving ends the refinement."""
+        rng = np.random.default_rng(5)
+        g, gt = noisy_graph(6, rng, sigma=0.0)
+        step = np.zeros((6, 3))
+        step[1:] = [0.3, -0.2, 0.1]
+        monkeypatch.setattr(robust, "solve_normal_equations", lambda *args: step)
+        model = _EdgeModel(g, "iso")
+        c0 = robust_cost(model.whitened_norms(gt, model.residuals(gt)), np.radians(5.0))
+        res = robust_refine(g, gt, RobustConfig(mode="iso", tau_deg=5.0))
+        assert res.status == "stalled" and res.iters_run == 1
+        assert np.array_equal(res.rotations, gt)
+        assert res.cost_trace == [c0, c0]
+        assert res.halving_trace == [robust.MAX_HALVINGS]
+        assert res.max_step_trace == [0.0]
+
     def test_cost_trace_non_increasing(self):
         rng = np.random.default_rng(6)
         g, gt = noisy_graph(10, rng, sigma=0.1, outliers=6)

@@ -1,5 +1,7 @@
 """Tests for the coordinate-descent solver, its oracle, and initializations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,30 @@ class TestAcdSolve:
             res = acd_solve(nb, SolverConfig(mode="iso", max_sweeps=3), make_init("zeros", 4))
         for r in res.rotations:
             assert so3.is_rotation(r)
+
+    @pytest.mark.parametrize("shuffle_seed", range(6))
+    def test_isolated_vertex_does_not_take_the_seed(self, shuffle_seed):
+        """Vertex 0 is visited first, in the middle or last across these seeds."""
+        g = ViewGraph(3, [EdgeMeasurement(1, 2, np.eye(3))])
+        cfg = SolverConfig(mode="iso", max_sweeps=2, shuffle_seed=shuffle_seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = acd_solve(assemble_blocks(g, "iso"), cfg, make_init("zeros", 3))
+        messages = [str(w.message) for w in caught]
+        assert messages == ["vertex 0 has no incident edges; using identity"]
+        assert res.max_step_trace[0] == 180.0
+        assert all(so3.is_rotation(r) for r in res.rotations)
+
+    def test_partly_zero_init_completes_in_first_sweep(self):
+        scene = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=4))
+        assert scene.graph.is_connected()
+        init = make_init("random", 30, seed=4)
+        init[::3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = acd_solve(assemble_blocks(scene.graph, "aniso"), SolverConfig(max_sweeps=1), init)
+        assert all(so3.is_rotation(r) for r in res.rotations)
+        assert res.max_step_trace == [180.0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sweep_applies_coordinate_update(self, seed):

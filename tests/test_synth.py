@@ -23,8 +23,10 @@ class TestSceneSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             SceneSpec(kind="grid")
-        with pytest.raises(ValueError, match="cameras"):
-            SceneSpec(n=1)
+        for bad in (1, -3, 2.5, float("nan"), "3"):
+            with pytest.raises(ValueError, match="number of cameras n must be an integer >= 2"):
+                SceneSpec(n=bad)
+        assert SceneSpec(n=np.int64(2)).n == 2
         with pytest.raises(ValueError, match="p must be"):
             SceneSpec(p=1.5)
         with pytest.raises(ValueError, match="nonnegative"):

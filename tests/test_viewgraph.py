@@ -86,6 +86,19 @@ class TestViewGraph:
         with pytest.raises(ValueError, match="duplicate"):
             ViewGraph(2, edges)
 
+    @pytest.mark.parametrize("n", [float("nan"), -3, 2.5, "3", None])
+    def test_rejects_bad_camera_count(self, n):
+        with pytest.raises(ValueError, match=r"number of cameras n must be an integer >= 0"):
+            ViewGraph(n, [EdgeMeasurement(0, 1, np.eye(3))])
+        with pytest.raises(ValueError, match=r"number of cameras n must be an integer >= 0"):
+            ViewGraph.from_arrays(n, [0], [1], np.eye(3)[None])
+
+    def test_camera_count_zero_and_numpy_integers_pass(self):
+        assert ViewGraph(0).components() == []
+        assert not ViewGraph(0).is_connected()
+        g = ViewGraph(np.int64(2), [EdgeMeasurement(0, 1, np.eye(3))])
+        assert g.n == 2 and g.is_connected()
+
     def test_components_and_connectivity(self):
         g = ViewGraph(5, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(3, 4, np.eye(3))])
         assert g.components() == [[0, 1], [2], [3, 4]]
