@@ -38,10 +38,6 @@ def gauge_align(est: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return est @ q
 
 
-def per_camera_errors_deg(aligned: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    return so3.angular_distance_deg(aligned, gt)
-
-
 def auc(errors_deg, n_deg: float) -> float:
     """Exact area under the recall-vs-threshold curve on [0, n], in percent."""
     errors = np.asarray(errors_deg, dtype=float)
@@ -64,7 +60,7 @@ def average_accuracy(errors_deg) -> float:
 def evaluate(est: np.ndarray, gt: np.ndarray, auc_thresholds=(1.0, 5.0)) -> MetricsReport:
     """Align, then compute per-camera errors, RMS, AUC at given thresholds, AA."""
     aligned = gauge_align(est, gt)
-    errors = per_camera_errors_deg(aligned, gt)
+    errors = so3.angular_distance_deg(aligned, gt)
     return MetricsReport(
         per_camera_errors_deg=errors,
         rms_deg=float(np.sqrt(np.mean(errors**2))),

@@ -9,9 +9,9 @@ cost trace is non-increasing.
 
 Every per-edge and per-camera quantity is computed as array code: residuals
 and the retraction use the stacked SO(3) maps, the Hessians are clamped and
-whitened in one batched call each. The normal equations keep one block
-pattern per graph: the BSR structure, the slot of each edge's two coupling
-blocks and the edge-camera incidence are built on the first solve, and each
+whitened in one batched call each. Each refinement builds the block
+pattern of its normal equations once (the BSR structure, the slot of each
+edge's two coupling blocks and the edge-camera incidence), and each
 iteration only refills the block values. The system is solved by conjugate
 gradients with a block-Jacobi (inverted 3x3 diagonal block) preconditioner,
 after Agarwal et al., "Bundle Adjustment in the Large" (ECCV 2010), with a
@@ -25,7 +25,6 @@ anisotropic terms use the R_i-conjugated Hessian of the current iterate.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,13 +132,14 @@ class _NormalPattern:
 
     The system has one 3x3 block per free camera on the diagonal and one
     per direction of each edge between free cameras. The structure depends
-    only on the edges, so it is built once per graph; each IRLS iteration
+    only on the edges, so a refinement builds it once; each IRLS iteration
     only writes new block values into the fixed slots of a BSR matrix.
     """
 
     def __init__(self, g: ViewGraph):
         if not g.is_connected():
             raise _singular(g)
+        self.graph = g  # the component sizes of a singular-system error
         m = g.n - 1  # free cameras 1..n-1
         fi, fj = g.i_idx - 1, g.j_idx - 1  # fj >= 0 since j > i >= 0
         free = np.flatnonzero(fi >= 0)
@@ -176,19 +176,8 @@ class _NormalPattern:
         return a, (self.incidence @ g_vec).ravel(), diag
 
 
-_PATTERNS: weakref.WeakKeyDictionary[ViewGraph, _NormalPattern] = weakref.WeakKeyDictionary()
-
-
-def _normal_pattern(g: ViewGraph) -> _NormalPattern:
-    """The graph's normal-equation pattern, built on first use and kept with the graph."""
-    pattern = _PATTERNS.get(g)
-    if pattern is None:
-        pattern = _PATTERNS[g] = _NormalPattern(g)
-    return pattern
-
-
 def solve_normal_equations(
-    g: ViewGraph,
+    pattern: _NormalPattern,
     weights: np.ndarray,
     precisions: np.ndarray,
     omegas: np.ndarray,
@@ -196,19 +185,17 @@ def solve_normal_equations(
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
     `precisions` holds D_e^T D_e per edge. Camera 0 is pinned (delta_0 = 0);
-    the returned (n, 3) step includes the pinned zero row. The block pattern
-    of the system is built once per graph; each call fills in the blocks
-    -w_e P_e and the diagonal sums, then solves by conjugate gradients
-    preconditioned with the inverted 3x3 diagonal blocks, falling back to a
-    direct sparse solve when CG does not converge.
+    the returned (n, 3) step includes the pinned zero row. Each call fills
+    the blocks -w_e P_e and the diagonal sums into `pattern`, then solves by
+    conjugate gradients preconditioned with the inverted 3x3 diagonal
+    blocks, falling back to a direct sparse solve if CG does not converge.
 
     Raises:
-        ValueError: if the system is singular (some camera not connected to
-            camera 0, or a camera whose edges carry no weight).
+        ValueError: if the system is singular (a camera whose edges carry
+            no weight).
     """
-    pattern = _normal_pattern(g)
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
-    m = pattern.m
+    g, m = pattern.graph, pattern.m
     try:
         diag_inv = np.linalg.inv(diag)
     except np.linalg.LinAlgError:
@@ -236,8 +223,9 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     """IRLS refinement of an initial valid-rotation stack.
 
     Outer loop: residuals, Geman-McClure weights at scale tau on whitened
-    residual norms, sparse weighted least-squares step, safeguarded update
-    R_i <- R_i exp(delta_i) with step halving on cost increase.
+    residual norms, sparse weighted least-squares step in the normal-equation
+    pattern built once per call, safeguarded update R_i <- R_i exp(delta_i)
+    with step halving on cost increase.
 
     A step is accepted once the robust cost does not rise by more than 1e-12.
     If it still rises after MAX_HALVINGS halvings, the refinement ends
@@ -247,7 +235,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (g.n, 3, 3):
         raise ValueError(f"initial stack shape {r0.shape} does not match n={g.n}")
-    g.require_connected()
+    pattern = _NormalPattern(g)  # raises on a disconnected graph
     model = _EdgeModel(g, cfg.mode)
     tau = np.radians(cfg.tau_deg)
     r = r0.copy()
@@ -260,7 +248,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     for _ in range(cfg.max_outer_iters):
         result.iters_run += 1
         weights = irls_weight(norms, tau)
-        delta = solve_normal_equations(g, weights, model.effective_precisions(r), omegas)
+        delta = solve_normal_equations(pattern, weights, model.effective_precisions(r), omegas)
         for halvings in range(MAX_HALVINGS + 1):
             r_new = r @ so3.exp_so3(delta)
             omegas_new = model.residuals(r_new)

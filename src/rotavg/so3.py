@@ -2,8 +2,8 @@
 
 All functions operate on plain numpy arrays. Rotation matrices are 3x3,
 tangent vectors are length-3 axis-angle vectors in radians. The maps, the
-distance and `hat` take stacks over any leading axes and apply one
-arithmetic to every row, so a stack equals its rows mapped one at a time.
+distance and the SO(3) defect take stacks over any leading axes and apply
+one arithmetic to every row, so a stack equals its rows mapped one at a time.
 Angles at API boundaries of the rest of the library are expressed in
 degrees; everything here is radians unless the name says otherwise.
 """
@@ -17,8 +17,7 @@ _SMALL_ANGLE = 1e-6
 _NEAR_PI = 1e-4
 _DEGENERATE_SV = 1e-12
 
-ROTATION_ORTHO_TOL = 1e-9
-ROTATION_DET_TOL = 1e-9
+ROTATION_TOL = 1e-9
 
 _EYE = np.eye(3)
 # hat(omega) = omega @ _HAT, reshaped: each entry is one +-component of omega
@@ -27,25 +26,25 @@ _HAT = np.zeros((3, 9))
 _HAT[[0, 1, 2, 0, 1, 2], [7, 2, 3, 5, 6, 1]] = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
 
 
-def hat(omega: np.ndarray) -> np.ndarray:
-    """Skew-symmetric (cross-product) matrices of finite vectors: (..., 3) to (..., 3, 3)."""
-    omega = np.asarray(omega, dtype=float)
-    return (omega @ _HAT).reshape(omega.shape[:-1] + (3, 3))
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, rounded as np.linalg.norm rounds one vector."""
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def is_rotation(m: np.ndarray) -> bool:
-    """Check orthonormality and det(m) = +1, each within its tolerance."""
+def rotation_defect(m: np.ndarray) -> np.ndarray:
+    """The SO(3) membership measure, (..., 3, 3) to (...): max(|m^T m - I|_F, |det m - 1|)
+    per matrix, +inf where an entry is not finite."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    if np.linalg.norm(m.T @ m - np.eye(3)) > ROTATION_ORTHO_TOL:
-        return False
-    return abs(np.linalg.det(m) - 1.0) <= ROTATION_DET_TOL
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        m = np.where(finite[..., None, None], m, _EYE)  # no arithmetic on inf or nan
+    ortho = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - _EYE, axis=(-2, -1))
+    return np.where(finite, np.maximum(ortho, np.abs(np.linalg.det(m) - 1.0)), np.inf)
+
+
+def is_rotation(m: np.ndarray) -> bool:
+    """True if m is 3x3 and its `rotation_defect` is at most ROTATION_TOL."""
+    return np.shape(m) == (3, 3) and bool(rotation_defect(m) <= ROTATION_TOL)
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray | None:
@@ -119,7 +118,7 @@ def exp_so3(omega: np.ndarray) -> np.ndarray:
     if small.any():
         a = np.where(small, 1.0 - theta2 / 6.0, a)
         b = np.where(small, 0.5 - theta2 / 24.0, b)
-    k = hat(omega)
+    k = (omega @ _HAT).reshape(omega.shape[:-1] + (3, 3))
     return _EYE + a * k + b * (k @ k)
 
 

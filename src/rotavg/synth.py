@@ -38,8 +38,9 @@ class SceneSpec:
             raise ValueError("edge fraction p must be in (0, 1]")
         if not 0 <= self.noise_scale < np.inf:  # NaN fails too
             raise ValueError("noise_scale must be finite and nonnegative")
-        if not (self.perturb_sigma_deg >= 0 and self.perturb_gamma >= 0):  # NaN fails too
-            raise ValueError("perturbation magnitudes must be nonnegative")
+        for name in ("perturb_sigma_deg", "perturb_gamma"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass

@@ -71,16 +71,17 @@ def _endpoints(x) -> np.ndarray:
     return x.astype(np.intp)
 
 
-def _check_edges(i, j, rel, hess, n=None) -> None:
-    """Raise RowError on the first invalid edge.
+def _check_edges(i, j, rel, hess, n=None):
+    """Raise RowError on the first invalid edge; with n, return each rel's SO(3) defect.
 
     Each edge runs the checks in this order: self-edge, canonical order,
     rotation shape and finiteness, Hessian shape, finiteness, symmetry and
-    PSD-ness, then, if n is given, vertex range and duplicates. The earliest
-    failing edge is reported with the first check it fails. A zero `hess`
-    row, which stands for an edge without a Hessian, passes.
+    PSD-ness, then, if n is given, the rotation's `so3.rotation_defect` (at
+    most OFF_MANIFOLD_TOL), vertex range and duplicates. The earliest failing
+    edge is reported with the first check it fails. A zero `hess` row, which
+    stands for an edge without a Hessian, passes.
     """
-    every, at = np.ones(len(i), dtype=bool), "edge ({i},{j})"
+    every, at, defect = np.ones(len(i), dtype=bool), "edge ({i},{j})", None
     rel_shape, h_shape = rel.shape[1:], hess.shape[1:]
     checks = [(i == j, "self-edge at vertex {i}"), (i > j, at + " not in canonical i<j order")]
     if rel_shape != (3, 3):
@@ -99,17 +100,28 @@ def _check_edges(i, j, rel, hess, n=None) -> None:
             (np.linalg.eigvalsh(h)[:, 0] < -SYMMETRY_TOL, at + ": Hessian not PSD"),
         ]
     if n is not None:
+        defect = so3.rotation_defect(rel) if rel_shape == (3, 3) else np.full(len(i), np.inf)
         order = np.lexsort((j, i))  # stable: a repeat sorts after its first occurrence
         repeat = np.zeros_like(every)
         repeat[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
         outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        off = f": relative rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} (defect {{defect:.3g}})"
+        checks.append((~(defect <= OFF_MANIFOLD_TOL), at + off))  # NaN fails too
         checks.append((outside, at + " outside vertex range [0,{n})"))
         checks.append((repeat, "duplicate " + at))
     bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(i))
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
         message = checks[int(np.argmax(bad[:, k]))][1]
-        raise RowError(k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape))
+        raise RowError(k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape,
+                                         defect=None if defect is None else defect[k]))
+    return defect
+
+
+def _reproject(m: np.ndarray, defect: np.ndarray) -> None:
+    """Replace in place each row of m whose defect exceeds so3.ROTATION_TOL by its projection."""
+    for k in np.flatnonzero(defect > so3.ROTATION_TOL).tolist():
+        m[k] = so3.project_so3(m[k])
 
 
 class _EdgeList(Sequence):
@@ -149,7 +161,8 @@ class ViewGraph:
 
         `has_hessian` (E,) marks the rows of `hess` that are Hessians; by
         default all are, or none if `hess` is None. Raises RowError naming
-        the first invalid edge.
+        the first invalid edge. Rotations off SO(3) by at most
+        OFF_MANIFOLD_TOL are re-projected, here and in `ViewGraph(n, edges)`.
         """
         g = cls.__new__(cls)
         g._store(n, i, j, rel, hess, has_hessian)
@@ -170,9 +183,9 @@ class ViewGraph:
             at = f"edge ({self.i_idx[k]},{self.j_idx[k]})"
             raise RowError(k, at + " is marked as having a Hessian, but hess is None")
         self.hess[~self.has_hessian] = 0.0
+        _reproject(self.rel, _check_edges(self.i_idx, self.j_idx, self.rel, self.hess, n))
         for a in arrays:
             a.flags.writeable = False
-        _check_edges(self.i_idx, self.j_idx, self.rel, self.hess, n)
 
     def _edge(self, k: int) -> EdgeMeasurement:
         """Edge k as an EdgeMeasurement, built without re-running the checks."""
@@ -378,24 +391,15 @@ def _records(path):
 
 
 def _check_rotations(m: np.ndarray) -> None:
-    """Check a loaded (K, 3, 3) stack against SO(3); raise RowError on the first bad row.
-
-    Rows off SO(3) by more than the rotation tolerances but by at most
-    OFF_MANIFOLD_TOL are re-projected in place.
-    """
-    finite = np.isfinite(m).all(axis=(1, 2))
-    safe = np.where(finite[:, None, None], m, np.eye(3))  # no arithmetic on inf/nan
-    err = np.linalg.norm(np.swapaxes(safe, 1, 2) @ safe - np.eye(3), axis=(1, 2))
-    det_err = np.abs(np.linalg.det(safe) - 1.0)
-    ok = finite & (err <= OFF_MANIFOLD_TOL) & (det_err <= OFF_MANIFOLD_TOL)
-    off = (err > so3.ROTATION_ORTHO_TOL) | (det_err > so3.ROTATION_DET_TOL)
-    for k in np.flatnonzero(ok & off):  # within OFF_MANIFOLD_TOL: re-project
-        m[k] = so3.project_so3(m[k])
+    """Raise RowError on the first row of a loaded (K, 3, 3) stack off SO(3) beyond
+    OFF_MANIFOLD_TOL; re-project the other rows in place."""
+    defect = so3.rotation_defect(m)
+    ok = defect <= OFF_MANIFOLD_TOL
     if not ok.all():
         k = int(np.argmin(ok))
-        raise RowError(k, "rotation off SO(3): entry not finite" if not finite[k] else
-                       f"rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} "
-                       f"(orthogonality {err[k]:.3g}, det error {det_err[k]:.3g})")
+        raise RowError(k, "rotation off SO(3): entry not finite" if not np.isfinite(m[k]).all() else
+                       f"rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} (defect {defect[k]:.3g})")
+    _reproject(m, defect)
 
 
 def _raise_first(faults: list[tuple[int, str]]) -> None:
@@ -444,16 +448,10 @@ def load_view_graph(path) -> ViewGraph:
         _raise_first(faults)
         raise GraphFormatError("missing VGRAPH header")
     vals = np.frombuffer(vals, count=18 * len(lines)).reshape(-1, 18)  # drops a half-parsed row
-    rel, cut = vals[:, :9].reshape(-1, 3, 3), len(lines)
+    ids = np.reshape(ids, (-1, 2))
+    rel, hess = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:].reshape(-1, 3, 3)
     try:
-        _check_rotations(rel)
-    except RowError as exc:
-        faults.append((lines[exc.index], str(exc)))
-        cut = exc.index  # a fault on a later edge cannot come first
-    ids = np.reshape(ids, (-1, 2))[:cut]
-    hess = vals[:cut, 9:].reshape(-1, 3, 3)
-    try:
-        g = ViewGraph.from_arrays(n, ids[:, 0], ids[:, 1], rel[:cut], hess, has_h[:cut])
+        g = ViewGraph.from_arrays(n, ids[:, 0], ids[:, 1], rel, hess, has_h)
     except RowError as exc:
         faults.append((lines[exc.index], str(exc)))
     _raise_first(faults)

@@ -13,7 +13,6 @@ from rotavg.metrics import (
     average_accuracy,
     evaluate,
     gauge_align,
-    per_camera_errors_deg,
     write_metrics_json,
 )
 
@@ -38,7 +37,7 @@ class TestGaugeAlign:
         gt = random_stack(10, 3)
         est = gt.copy()
         est[4] = est[4] @ so3.exp_so3(np.array([np.pi, 0.0, 0.0]))
-        errors = per_camera_errors_deg(gauge_align(est, gt), gt)
+        errors = so3.angular_distance_deg(gauge_align(est, gt), gt)
         assert errors[4] > 170
         others = np.delete(errors, 4)
         assert np.all(others < 10)

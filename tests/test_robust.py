@@ -149,7 +149,7 @@ class TestNormalEquations:
         weights = np.ones(e_count)
         precisions = np.tile(np.eye(3), (e_count, 1, 1))
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        delta = solve_normal_equations(g, weights, precisions, omegas)
+        delta = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         # Dense reference: least squares on J delta = stacked residuals with
         # row blocks (delta_j - delta_i) and camera 0 eliminated.
@@ -176,7 +176,7 @@ class TestNormalEquations:
         weights = 10.0 ** rng.uniform(-6.0, 0.0, e_count)
         precisions = np.stack([random_spd(rng) for _ in range(e_count)])
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        delta = solve_normal_equations(g, weights, precisions, omegas)
+        delta = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         m = g.n - 1
         jac = np.zeros((3 * e_count, 3 * m))
@@ -200,7 +200,7 @@ class TestNormalEquations:
         weights = 10.0 ** rng.uniform(-6.0, 0.0, e_count)
         precisions = np.stack([random_spd(rng) for _ in range(e_count)])
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        a, rhs, _ = robust._normal_pattern(g).assemble(weights, precisions, omegas)
+        a, rhs, _ = robust._NormalPattern(g).assemble(weights, precisions, omegas)
         m = g.n - 1
         want_a, want_rhs = np.zeros((m, 3, m, 3)), np.zeros((m, 3))
         for (i, j), w, p, om in zip(pairs, weights, precisions, omegas):
@@ -216,23 +216,6 @@ class TestNormalEquations:
         np.testing.assert_allclose(a.toarray(), want_a, rtol=1e-14, atol=1e-14 * np.abs(want_a).max())
         np.testing.assert_allclose(rhs, want_rhs.ravel(), rtol=1e-14, atol=1e-14 * np.abs(want_rhs).max())
 
-    def test_cached_pattern_matches_fresh_graph(self):
-        # Calls with new values on a graph that already holds its pattern give
-        # the bits of the same call on an equal graph built afresh.
-        rng = np.random.default_rng(15)
-        g, _ = noisy_graph(7, rng, sigma=0.1)
-        e_count = len(g.edges)
-        for _ in range(2):
-            args = (
-                10.0 ** rng.uniform(-6.0, 0.0, e_count),
-                np.stack([random_spd(rng) for _ in range(e_count)]),
-                0.1 * rng.standard_normal((e_count, 3)),
-            )
-            fresh = ViewGraph.from_arrays(g.n, g.i_idx, g.j_idx, g.rel, g.hess)
-            np.testing.assert_array_equal(
-                solve_normal_equations(g, *args), solve_normal_equations(fresh, *args)
-            )
-
     @pytest.mark.parametrize(
         "pairs", [[(0, 1), (1, 2)], [(0, 1), (2, 3)]], ids=["isolated_vertex", "split_pair"]
     )
@@ -241,7 +224,7 @@ class TestNormalEquations:
         e_count = len(g.edges)
         with pytest.raises(ValueError, match="singular"):
             solve_normal_equations(
-                g, np.ones(e_count), np.tile(np.eye(3), (e_count, 1, 1)),
+                robust._NormalPattern(g), np.ones(e_count), np.tile(np.eye(3), (e_count, 1, 1)),
                 0.1 * np.ones((e_count, 3)),
             )
 
@@ -250,7 +233,7 @@ class TestNormalEquations:
         g, _ = noisy_graph(6, rng, sigma=0.05)
         e_count = len(g.edges)
         delta = solve_normal_equations(
-            g,
+            robust._NormalPattern(g),
             rng.uniform(0.1, 1.0, e_count),
             np.stack([random_spd(rng) for _ in range(e_count)]),
             0.05 * rng.standard_normal((e_count, 3)),
@@ -348,6 +331,24 @@ class TestRobustRefine:
         g, gt = noisy_graph(4, rng, with_hessians=False)
         with pytest.raises(ValueError, match="Hessian"):
             robust_refine(g, gt, RobustConfig(mode="aniso"))
+
+    def test_one_pattern_per_refinement(self, monkeypatch):
+        """Each call builds one normal-equation pattern for all its iterations;
+        two refinements of one graph give the same bits."""
+        rng = np.random.default_rng(11)
+        g, gt = noisy_graph(8, rng, sigma=0.1, outliers=3)
+        start = np.stack([r @ so3.exp_so3(0.05 * rng.standard_normal(3)) for r in gt])
+        built = []
+        pattern_type = robust._NormalPattern
+        monkeypatch.setattr(robust, "_NormalPattern", lambda g: built.append(g) or pattern_type(g))
+        for mode in ("iso", "aniso"):
+            built.clear()
+            a = robust_refine(g, start, RobustConfig(mode=mode))
+            assert built == [g] and a.iters_run > 1
+            b = robust_refine(g, start, RobustConfig(mode=mode))
+            assert len(built) == 2
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_disconnected_graph_rejected(self):
         g = ViewGraph(

@@ -33,6 +33,9 @@ class TestSceneSpec:
             SceneSpec(perturb_gamma=-0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             SceneSpec(perturb_sigma_deg=float("nan"))
+        for name in ("perturb_sigma_deg", "perturb_gamma"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+                SceneSpec(**{name: float("inf")})
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
                 SceneSpec(noise_scale=bad)

@@ -167,6 +167,9 @@ def corrupt(kind, k, i, j, rel, hess):
     if kind == "indefinite":
         hess[k] = np.diag([1.0, 1.0, -1.0])
         return f"{edge}: Hessian not PSD"
+    if kind in ROTATION_FAULTS:
+        rel[k] = ROTATION_FAULTS[kind]
+        return f"{edge}: relative rotation off SO\\(3\\) beyond 1e-06 \\(defect "
     if kind == "range":
         j[k] = 9
         return f"edge \\({i[k]},9\\) outside vertex range \\[0,6\\)"
@@ -175,7 +178,13 @@ def corrupt(kind, k, i, j, rel, hess):
     return f"duplicate edge \\({i[k]},{j[k]}\\)"
 
 
-FAULTS = ["self-edge", "order", "rel-nan", "hess-inf", "asymmetric", "indefinite", "range", "duplicate"]
+# Finite relative rotations off SO(3): a reflection, a scaled rotation and a zero matrix.
+ROTATION_FAULTS = {
+    "rel-off": np.diag([1.0, 1.0, -1.0]), "rel-twice": 2 * np.eye(3), "rel-zero": np.zeros((3, 3)),
+}
+FAULTS = ["self-edge", "order", "rel-nan", "hess-inf", "asymmetric", "indefinite", *ROTATION_FAULTS,
+          "range", "duplicate"]
+GRAPH_LEVEL = ["range", "duplicate", *ROTATION_FAULTS]  # checked by the graph, not by one edge
 
 
 class TestFromArrays:
@@ -207,13 +216,25 @@ class TestFromArrays:
         arrays = valid_arrays(np.random.default_rng(22))
         message = corrupt(kind, 2, *arrays)
         i, j, rel, hess = arrays
-        if kind in ("range", "duplicate"):  # graph-level checks
+        if kind in GRAPH_LEVEL:
             edges = [EdgeMeasurement(*e) for e in zip(i.tolist(), j.tolist(), rel, hess)]
             with pytest.raises(ValueError, match=message):
                 ViewGraph(6, edges)
         else:
             with pytest.raises(ValueError, match=message):
                 EdgeMeasurement(int(i[2]), int(j[2]), rel[2], hess[2])
+
+    def test_near_rotation_reprojected(self):
+        """A rel 5e-8 off SO(3) is stored projected, through either constructor;
+        the other rows, valid rotations, are stored as given."""
+        i, j, rel, hess = valid_arrays(np.random.default_rng(31))
+        rel[1] += 5e-8 * np.random.default_rng(32).standard_normal((3, 3))
+        assert 1e-9 < so3.rotation_defect(rel[1]) < 1e-6
+        edges = [EdgeMeasurement(*e) for e in zip(i.tolist(), j.tolist(), rel, hess)]
+        for g in (ViewGraph.from_arrays(6, i, j, rel, hess), ViewGraph(6, edges)):
+            assert so3.is_rotation(g.rel[1])
+            np.testing.assert_array_equal(g.rel[1], so3.project_so3(rel[1]))
+            np.testing.assert_array_equal(np.delete(g.rel, 1, axis=0), np.delete(rel, 1, axis=0))
 
     @pytest.mark.parametrize("which", ["rel", "hess"])
     def test_rejects_misshapen_stack(self, which):
@@ -544,8 +565,10 @@ class TestFileIO:
     @pytest.mark.parametrize(
         "load, text, match",
         [
-            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 nan 0 0 0 1 0 0 0 1\n", "line 2: rotation off SO"),
-            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 inf 0 0 0 1 0 0 0 1\n", "line 2: rotation off SO"),
+            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 nan 0 0 0 1 0 0 0 1\n",
+             "line 2: edge \\(0,1\\): relative rotation not finite"),
+            (load_view_graph, "VGRAPH 1 2\nEDGE 0 1 inf 0 0 0 1 0 0 0 1\n",
+             "line 2: edge \\(0,1\\): relative rotation not finite"),
             (load_view_graph, f"VGRAPH 1 2\nEDGE 0 1 {IDENTITY} H {NAN_OFF_DIAGONAL}\n",
              "line 2: edge \\(0,1\\): Hessian not finite"),
             (load_view_graph, f"VGRAPH 1 -3\nEDGE 0 1 {IDENTITY}\n", "line 1: camera count -3"),
@@ -712,7 +735,7 @@ def bad_vg_line(kind, line):
 
 VG_FAULTS = {
     "malformed": "malformed EDGE line", "non-integer": "invalid literal", "non-float": "could not convert",
-    "range": "outside vertex range", "rot-nan": "rotation off SO", "rot-off": "rotation off SO",
+    "range": "outside vertex range", "rot-nan": "relative rotation not finite", "rot-off": "rotation off SO",
     "self-edge": "self-edge", "order": "canonical", "hess-inf": "Hessian not finite",
     "asymmetric": "Hessian not symmetric", "indefinite": "Hessian not PSD",
     "duplicate": r"duplicate edge \(0,1\)", "unknown-record": "unknown record",
