@@ -33,13 +33,16 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def rotation_defect(m: np.ndarray) -> np.ndarray:
     """The SO(3) membership measure, (..., 3, 3) to (...): max(|m^T m - I|_F, |det m - 1|)
-    per matrix, +inf where an entry is not finite."""
+    per matrix, +inf where an entry is not finite. Finite entries too large to
+    square give inf or NaN, without a warning; both fail a `defect <= tol` test."""
     m = np.asarray(m, dtype=float)
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         m = np.where(finite[..., None, None], m, _EYE)  # no arithmetic on inf or nan
-    ortho = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - _EYE, axis=(-2, -1))
-    return np.where(finite, np.maximum(ortho, np.abs(np.linalg.det(m) - 1.0)), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ortho = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - _EYE, axis=(-2, -1))
+        det = _det3(np.moveaxis(m, (-2, -1), (0, 1)))
+        return np.where(finite, np.maximum(ortho, np.abs(det - 1.0)), np.inf)
 
 
 def is_rotation(m: np.ndarray) -> bool:
@@ -73,7 +76,8 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _det3(m: list[list[float]]) -> float:
+def _det3(m):
+    """Cofactor determinant of 3x3 rows: lists of floats, or arrays over trailing axes."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

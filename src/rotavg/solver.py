@@ -105,6 +105,10 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     by (shuffle_seed, sweep index). Converged means the relative objective
     decrease and the max per-camera step both fell below their tolerances.
 
+    The max step is measured once per sweep, from the stacks before and after
+    it: the largest geodesic angle between a camera's old and new rotation,
+    in degrees, or 180 if any camera was unassigned when the sweep began.
+
     Zero-start handling: a block equal to zero is unassigned. An unassigned
     camera whose gathered term is (near) zero, because all its neighbors are
     still unassigned, waits; the first such camera of the run is seeded with
@@ -128,46 +132,29 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     step_trace: list[float] = []
     prev_obj = objective(nb, r)
     status = "max_sweeps_reached"
-    assigned = np.any(r, axis=(1, 2)).tolist()
-    seeded = any(assigned)
-
-    two_sqrt2 = 2.0 * math.sqrt(2.0)
-
-    def update(k: int) -> float | None:
-        """Apply camera k's block update; its step in degrees, or None while k waits."""
-        nonlocal seeded
-        new_rk = _gather_project(indices, coeffs, r, k)
-        if new_rk is None:
-            if assigned[k]:
-                return 0.0
-            if len(indices[k]) == 0:
-                warnings.warn(f"vertex {k} has no incident edges; using identity")
-            elif seeded:
-                return None
-            else:
-                seeded = True
-            new_rk = np.eye(3)
-        if assigned[k]:
-            # Geodesic step from the chordal gap: |R1 - R2|_F = 2*sqrt(2)*sin(theta/2)
-            gap = math.dist(new_rk.ravel().tolist(), r[k].ravel().tolist())
-            step = math.degrees(2.0 * math.asin(min(1.0, gap / two_sqrt2)))
-        else:
-            step = 180.0
-            assigned[k] = True
-        r[k] = new_rk
-        return step
+    # A zero block is unassigned; every block is a rotation after the first sweep.
+    unassigned = not np.any(r, axis=(1, 2)).all()
+    seeded = bool(r.any())
 
     for sweep in range(cfg.max_sweeps):
+        r_prev = r.copy()
         pending = np.random.default_rng([cfg.shuffle_seed, sweep]).permutation(n).tolist()
-        max_step = 0.0
         while pending:
             waited = []
             for k in pending:
-                step = update(k)
-                if step is None:
-                    waited.append(k)
-                elif step > max_step:
-                    max_step = step
+                new_rk = _gather_project(indices, coeffs, r, k)
+                if new_rk is None:
+                    if r[k].any():  # assigned: keeps its rotation
+                        continue
+                    if len(indices[k]) == 0:
+                        warnings.warn(f"vertex {k} has no incident edges; using identity")
+                    elif seeded:
+                        waited.append(k)
+                        continue
+                    else:
+                        seeded = True
+                    new_rk = np.eye(3)
+                r[k] = new_rk
             if len(waited) == len(pending):
                 k = waited.pop(0)
                 warnings.warn(
@@ -175,8 +162,17 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
                     "starting a new identity seed"
                 )
                 r[k] = np.eye(3)
-                assigned[k] = True
             pending = waited
+        if unassigned:
+            max_step = 180.0
+            unassigned = False
+        else:
+            # Blocks change only at their own update: the step is the angle of the largest
+            # chordal gap |R - R_prev|_F = 2*sqrt(2)*sin(theta/2), taken with math.hypot
+            # to within an ulp, since asin magnifies its error near 180 degrees.
+            d = (r - r_prev).reshape(n, 9)
+            gap = math.hypot(*d[np.einsum("ka,ka->k", d, d).argmax()].tolist()) if n else 0.0
+            max_step = math.degrees(2.0 * math.asin(min(1.0, gap / (2.0 * math.sqrt(2.0)))))
         cur_obj = objective(nb, r)
         obj_trace.append(cur_obj)
         step_trace.append(max_step)

@@ -255,6 +255,20 @@ class TestBatchedMaps:
         want = np.stack([so3.exp_so3(v) for v in omegas])
         np.testing.assert_array_equal(so3.exp_so3(omegas), want)
 
+    def test_rotation_defect_matches_lapack_determinant(self):
+        """The stacked cofactor determinant agrees with np.linalg.det to rounding,
+        and a stack equals its rows measured one at a time."""
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((200, 3, 3))
+        m[:100] = so3.quaternion_rotation(rng.standard_normal((100, 4))) + 1e-7 * m[:100]
+        ortho = np.linalg.norm(np.swapaxes(m, 1, 2) @ m - np.eye(3), axis=(1, 2))
+        want = np.maximum(ortho, np.abs(np.linalg.det(m) - 1.0))
+        defect = so3.rotation_defect(m)
+        np.testing.assert_allclose(defect, want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(defect, [so3.rotation_defect(x) for x in m])
+        np.testing.assert_array_equal(so3.rotation_defect(m.reshape(20, 10, 3, 3)),
+                                      defect.reshape(20, 10))
+
     def test_exp_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             so3.exp_so3(np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]))

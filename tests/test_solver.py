@@ -307,6 +307,42 @@ class TestAcdSolve:
         assert all(so3.is_rotation(r) for r in res.rotations)
         assert res.max_step_trace == [180.0]
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", ["random", "partly_zero", "isolated_random", "isolated_zeros"])
+    def test_max_step_is_largest_angle_of_the_sweep(self, case, seed):
+        """The step of sweep s is the largest angle between the stacks after s-1
+        and s sweeps, or exactly 180 if a camera starts the sweep unassigned.
+        Shuffles are seeded by (seed, sweep), so max_sweeps=s stops after sweep s."""
+        g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=seed)).graph
+        n = 30
+        if case.startswith("isolated"):
+            n = 31  # vertex 30 has no edges
+            g = ViewGraph.from_arrays(n, g.i_idx, g.j_idx, g.rel, g.hess)
+        nb = assemble_blocks(g, "aniso")
+        init = make_init("zeros" if case == "isolated_zeros" else "random", n, seed=seed)
+        if case == "partly_zero":
+            init[::3] = 0.0
+        prev = init
+        for s in range(1, 6):
+            cfg = SolverConfig(max_sweeps=s, shuffle_seed=seed,
+                               objective_tol=1e-300, step_tol_deg=1e-300)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the isolated vertex warns
+                res = acd_solve(nb, cfg, init)
+            assert res.sweeps_run == s
+            if np.any(prev, axis=(1, 2)).all():
+                want = so3.angular_distance_deg(prev, res.rotations).max()
+                assert abs(res.max_step_trace[-1] - want) <= 1e-9
+            else:
+                assert res.max_step_trace[-1] == 180.0
+            prev = res.rotations
+
+    def test_empty_graph(self):
+        res = acd_solve(assemble_blocks(ViewGraph(0, []), "iso"), SolverConfig(mode="iso"),
+                        make_init("zeros", 0))
+        assert res.rotations.shape == (0, 3, 3)
+        assert (res.max_step_trace, res.sweeps_run, res.status) == ([0.0], 1, "converged")
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sweep_applies_coordinate_update(self, seed):
         """The update a sweep applies is coordinate_update, bit for bit."""

@@ -665,6 +665,20 @@ class TestFileIO:
         with pytest.raises(GraphFormatError, match="off SO"):
             load_view_graph(path)
 
+    def test_overflowing_rotation_rejected_without_warning(self, tmp_path):
+        """Entries too large to square are off SO(3): a RowError or a
+        GraphFormatError, not numpy's overflow RuntimeWarning."""
+        rel = np.eye(3)
+        rel[0] = [1e200, -1e200, 0.0]
+        path = tmp_path / "r.rot"
+        path.write_text(f"ROT 0 {fmt(np.eye(3))}\nROT 1 {fmt(rel)}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RowError, match=r"edge \(0,1\): relative rotation off SO"):
+                ViewGraph.from_arrays(2, [0], [1], rel[None])
+            with pytest.raises(GraphFormatError, match="line 2: rotation off SO"):
+                load_rotations(path)
+
     def test_rotation_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         stack = np.stack([so3.random_rotation(rng) for _ in range(4)])
