@@ -35,6 +35,10 @@ def _write_manifest(args, timings_ms) -> None:
         f.write("\n")
 
 
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
+
+
 def cmd_synth(args) -> int:
     spec = synth.SceneSpec(
         kind=args.kind,
@@ -48,17 +52,21 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     scene = synth.generate_scene(spec)
     graph = scene.graph
-    gen_ms = (time.perf_counter() - t0) * 1e3
+    timings = {"generate": _ms_since(t0)}
+    t0 = time.perf_counter()
     save_view_graph(graph, args.out)
     if args.gt:
         save_rotations(scene.ground_truth, args.gt)
-    _write_manifest(args, {"generate": gen_ms})
+    timings["save"] = _ms_since(t0)
+    _write_manifest(args, timings)
     print(f"wrote {len(graph.edges)} edges for {graph.n} cameras to {args.out}")
     return 0
 
 
 def cmd_solve(args) -> int:
+    t0 = time.perf_counter()
     graph = load_view_graph(getattr(args, "in"))
+    load_ms = _ms_since(t0)
     needs_hessians = args.mode == "aniso" or args.robust == "airls"
     if needs_hessians and not graph.has_hessians:
         raise ValueError(
@@ -82,18 +90,21 @@ def cmd_solve(args) -> int:
     robust_cfg = RobustConfig(tau_deg=args.tau_deg)
 
     if len(sizes) > 1:
-        save_rotations(run_per_component(graph, cfg, args.robust, robust_cfg), args.out)
-        _write_manifest(args, {})
+        rotations = run_per_component(graph, cfg, args.robust, robust_cfg)
+        t0 = time.perf_counter()
+        save_rotations(rotations, args.out)
+        _write_manifest(args, {"load": load_ms, "save": _ms_since(t0)})
         print(f"solved {graph.n} cameras per-component")
         return 0
 
     result = run_pipeline(graph, cfg, args.robust, robust_cfg)
+    t0 = time.perf_counter()
     save_rotations(result.rotations, args.out)
     if args.trace:
         write_trace_csv(result.solve, args.trace)
     if args.robust_trace and result.refine is not None:
         write_robust_trace_csv(result.refine, args.robust_trace)
-    _write_manifest(args, result.timings_ms)
+    _write_manifest(args, {"load": load_ms, **result.timings_ms, "save": _ms_since(t0)})
     print(
         f"solved {graph.n} cameras in {result.solve.sweeps_run} sweeps "
         f"({result.solve.status})"

@@ -40,9 +40,16 @@ def rotation_defect(m: np.ndarray) -> np.ndarray:
     if not finite.all():
         m = np.where(finite[..., None, None], m, _EYE)  # no arithmetic on inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        ortho = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - _EYE, axis=(-2, -1))
-        det = _det3(np.moveaxis(m, (-2, -1), (0, 1)))
-        return np.where(finite, np.maximum(ortho, np.abs(det - 1.0)), np.inf)
+        c = np.moveaxis(m, (-2, -1), (0, 1)).copy()  # c[r, k]: entry (r, k) of each matrix
+
+        def g(p, q):  # entry (p, q) of m^T m: column p . column q
+            return c[0, p] * c[0, q] + c[1, p] * c[1, q] + c[2, p] * c[2, q]
+
+        # |m^T m - I|_F from the 6 distinct entries of m^T m; np.square, not the
+        # libm pow that ** calls on a numpy scalar, so a stack equals its rows.
+        ortho = np.sqrt(sum(np.square(g(p, p) - 1.0) for p in range(3))
+                        + 2.0 * sum(np.square(g(p, q)) for p, q in ((0, 1), (0, 2), (1, 2))))
+        return np.where(finite, np.maximum(ortho, np.abs(_det3(c) - 1.0)), np.inf)
 
 
 def is_rotation(m: np.ndarray) -> bool:

@@ -45,7 +45,16 @@ class TestSynth:
         data = json.loads(man.read_text())
         assert data["subcommand"] == "synth"
         assert data["config"]["seed"] == 0
-        assert "timings_ms" in data and "version" in data
+        assert set(data["timings_ms"]) == {"generate", "save"} and "version" in data
+        assert all(t >= 0 for t in data["timings_ms"].values())
+
+    @pytest.mark.parametrize("argv, field", [(["--kind", "loop", "--n", 2], "number of cameras n"),
+                                             (["--kind", "general", "--seed", -1], "seed")])
+    def test_invalid_spec_exit_1(self, tmp_path, capsys, argv, field):
+        vg = tmp_path / "s.vg"
+        assert run(["synth", *argv, "--out", vg]) == 1
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not vg.exists()
 
     def test_perturbed_scene_is_perturbed_graph(self, tmp_path):
         args = ["synth", "--kind", "general", "--n", 30, "--p", 0.4, "--seed", 3]
@@ -85,6 +94,24 @@ class TestSolveEval:
         data = json.loads(mj.read_text())
         assert data["rms_deg"] <= 1e-6
         assert data["aa"] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("robust, keys", [("none", {"load", "assemble", "solve", "save"}),
+                                              ("irls", {"load", "assemble", "solve", "refine", "save"})])
+    def test_manifest_timings(self, noiseless_loop, tmp_path, robust, keys):
+        vg, _ = noiseless_loop
+        man = tmp_path / "m.json"
+        assert run(["solve", "--in", vg, "--robust", robust, "--out", tmp_path / "e.rot",
+                    "--manifest", man]) == 0
+        timings = json.loads(man.read_text())["timings_ms"]
+        assert set(timings) == keys and all(t >= 0 for t in timings.values())
+
+    def test_per_component_manifest_timings(self, tmp_path):
+        vg, man = tmp_path / "two.vg", tmp_path / "m.json"
+        rot = " ".join("%.17g" % v for v in np.eye(3).ravel())
+        vg.write_text(f"VGRAPH 1 4\nEDGE 0 1 {rot}\nEDGE 2 3 {rot}\n")
+        assert run(["solve", "--in", vg, "--mode", "iso", "--per-component",
+                    "--out", tmp_path / "e.rot", "--manifest", man]) == 0
+        assert set(json.loads(man.read_text())["timings_ms"]) == {"load", "save"}
 
     def test_trace_files(self, noiseless_loop, tmp_path):
         vg, _ = noiseless_loop

@@ -273,6 +273,18 @@ class TestBatchedMaps:
         with pytest.raises(ValueError, match="non-finite"):
             so3.exp_so3(np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]))
 
+    def test_rotation_defect_near_rotations(self):
+        """Rotations 1e-11 to 1e-5 off SO(3): the component Gram matrix gives the
+        defect of the stacked matmul to rounding, and a stack equals its rows."""
+        rng = np.random.default_rng(8)
+        m = so3.quaternion_rotation(rng.standard_normal((3000, 4)))
+        m += np.geomspace(1e-11, 1e-5, 3000)[:, None, None] * rng.standard_normal((3000, 3, 3))
+        ortho = np.linalg.norm(np.swapaxes(m, 1, 2) @ m - np.eye(3), axis=(1, 2))
+        defect = so3.rotation_defect(m)
+        np.testing.assert_allclose(defect, np.maximum(ortho, np.abs(np.linalg.det(m) - 1.0)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(defect, [so3.rotation_defect(x) for x in m])
+
 
 class TestAngularDistance:
     def test_self_distance_zero(self):

@@ -41,6 +41,20 @@ class TestSceneSpec:
                 SceneSpec(noise_scale=bad)
         assert SceneSpec(noise_scale=0.0).noise_scale == 0.0
 
+    def test_loop_needs_three_cameras(self):
+        """A two-camera loop would list edge (0, 1) twice."""
+        want = "number of cameras n of a loop scene must be an integer >= 3, got 2"
+        with pytest.raises(ValueError, match=want):
+            SceneSpec(kind="loop", n=2)
+        assert len(generate_scene(SceneSpec(kind="loop", n=3)).graph.edges) == 3
+        assert SceneSpec(kind="general", n=2).n == 2
+
+    def test_seed_validation(self):
+        for bad in (-1, 1.5, float("nan"), "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                SceneSpec(seed=bad)
+        assert SceneSpec(seed=np.uint32(2**32 - 1)).seed == 2**32 - 1
+
 
 class TestSampleHessian:
     def test_eigenvalue_bounds(self):
@@ -211,10 +225,32 @@ class TestGenerateScene:
         assert not np.array_equal(sc.graph.hess, base.graph.hess)
 
 
+def reference_hessian(rng):
+    """sample_hessian as it drew before its draws were stacked: three uniform calls,
+    then four normals."""
+    a = rng.uniform(10.0, 100.0)
+    b = rng.uniform(2.0 * a, 100.0 * a)
+    lam, v = rng.uniform(a, b, size=3), so3.quaternion_rotation(rng.standard_normal(4))
+    return (v * lam) @ v.T
+
+
+def reference_perturb(h, sigma_deg, gamma, rng):
+    """perturb_hessian as it drew before its draws were stacked: three normals and
+    normal(0, sigma) for the axis and angle, then uniform(0, gamma m) increments."""
+    lam, v = np.linalg.eigh(h)
+    if sigma_deg > 0:
+        axis, angle = rng.standard_normal(3), rng.normal(0.0, sigma_deg)
+        v = so3.exp_so3(np.radians(angle) * so3.unit(axis)) @ v
+    if gamma > 0:
+        lam = lam + rng.uniform(0.0, gamma * lam.mean(), size=3)
+    return (v * lam) @ v.T
+
+
 def reference_scene(spec):
-    """generate_scene one edge at a time: the scalar sample_hessian, apply_noise
-    and EdgeMeasurement, drawing in generation order. Returns the ground
-    truth, the edges and the number of graphs drawn."""
+    """generate_scene one edge at a time: reference_hessian, apply_noise and
+    EdgeMeasurement, drawing in generation order, then reference_perturb on a
+    generator seeded from spec.seed + 1 if the spec perturbs. Returns the ground
+    truth, the edges, the number of graphs drawn and the generators used."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     if spec.kind == "loop":
@@ -228,7 +264,7 @@ def reference_scene(spec):
     for attempt in itertools.count(1):  # redraw disconnected general graphs wholesale
         edges = []
         for i, j in candidates():
-            h = sample_hessian(rng)
+            h = reference_hessian(rng)
             edges.append(EdgeMeasurement(i, j, apply_noise(gt[j] @ gt[i].T, h, spec.noise_scale, rng), h))
         reached, todo = {0}, [0]
         while todo:
@@ -238,7 +274,22 @@ def reference_scene(spec):
                     reached.add(w)
                     todo.append(w)
         if len(reached) == n:
-            return gt, edges, attempt
+            break
+    rngs = [rng]
+    sigma_deg, gamma = spec.perturb_sigma_deg, spec.perturb_gamma
+    if sigma_deg > 0 or gamma > 0:
+        rngs.append(np.random.default_rng(spec.seed + 1))
+        edges = [EdgeMeasurement(e.i, e.j, e.rel, reference_perturb(e.hessian, sigma_deg, gamma, rngs[1]))
+                 for e in edges]
+    return gt, edges, attempt, rngs
+
+
+@pytest.fixture()
+def made_generators(monkeypatch):
+    """The generators that np.random.default_rng makes while the test runs."""
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    return made
 
 
 def assert_graph_equals_edges(g, edges):
@@ -255,28 +306,47 @@ PARITY_SPECS = [
     SceneSpec(kind="general", n=20, p=0.3, noise_scale=1.0, seed=13),
     SceneSpec(kind="general", n=20, p=0.3, noise_scale=0.0, seed=14),
     SceneSpec(kind="general", n=15, p=None, seed=15),
+    # 1000+ edges, 7000+ normals: the ziggurat rejects and redraws mid-stream
+    SceneSpec(kind="general", n=60, p=0.6, seed=16),
+    SceneSpec(kind="loop", n=12, perturb_sigma_deg=10.0, perturb_gamma=0.3, seed=17),
     SceneSpec(kind="general", n=16, p=0.12, seed=2),  # needs redraws
 ]
 
 
 class TestStackedParity:
-    """The stacked generator gives exactly the per-edge reference, bit for bit."""
+    """The stacked generator gives exactly the per-edge reference, bit for bit,
+    and leaves its generators where the reference leaves them."""
 
     @pytest.mark.parametrize("spec", PARITY_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-seed{s.seed}")
-    def test_generate_scene(self, spec):
-        gt, edges, attempts = reference_scene(spec)
+    def test_generate_scene(self, spec, made_generators):
+        gt, edges, attempts, rngs = reference_scene(spec)
+        del made_generators[:]
         sc = generate_scene(spec)
         assert np.array_equal(sc.ground_truth, gt)
         assert_graph_equals_edges(sc.graph, edges)
         assert (attempts > 1) == (spec is PARITY_SPECS[-1])
+        if spec is PARITY_SPECS[5]:
+            assert len(edges) >= 1000
+        assert [r.bit_generator.state for r in made_generators] == [r.bit_generator.state for r in rngs]
 
     @pytest.mark.parametrize("sigma_deg, gamma", [(0.0, 0.0), (10.0, 0.0), (0.0, 0.3), (10.0, 0.3)])
-    @pytest.mark.parametrize("spec", PARITY_SPECS[::2], ids=lambda s: s.kind)
-    def test_perturbed_graph(self, spec, sigma_deg, gamma):
+    @pytest.mark.parametrize("spec", [PARITY_SPECS[k] for k in (0, 2, 4, 5)], ids=lambda s: s.kind)
+    def test_perturbed_graph(self, spec, sigma_deg, gamma, made_generators):
         sc = generate_scene(spec)
-        rng = np.random.default_rng(99)
+        rng, scalar_rng = np.random.default_rng(99), np.random.default_rng(99)
         want = [
-            EdgeMeasurement(e.i, e.j, e.rel, perturb_hessian(e.hessian, sigma_deg, gamma, rng))
+            EdgeMeasurement(e.i, e.j, e.rel, reference_perturb(e.hessian, sigma_deg, gamma, rng))
             for e in sc.graph.edges
         ]
+        del made_generators[:]
         assert_graph_equals_edges(perturbed_graph(sc, sigma_deg, gamma, seed=99), want)
+        assert made_generators[0].bit_generator.state == rng.bit_generator.state
+        for e, w in zip(sc.graph.edges, want):
+            assert np.array_equal(perturb_hessian(e.hessian, sigma_deg, gamma, scalar_rng), w.hessian)
+        assert scalar_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_sample_hessian(self):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(500):
+            assert np.array_equal(sample_hessian(rng), reference_hessian(ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
