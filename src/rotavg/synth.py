@@ -8,7 +8,7 @@ the generating one, so the reported uncertainty is exact.
 Draw order, which defines every scene as much as its seed does:
 - generate_scene seeds a generator from spec.seed. A general scene draws p
   when it is unset, then the ground truth as `standard_normal((n, 4))`, then
-  per attempt one `random()` per camera pair for the edge mask.
+  per attempt one `random()` per camera pair, row-major, for the edge mask.
 - Then, edge by edge: `random(5)` for the eigenvalues, then one
   `standard_normal` call for the 4 quaternion entries of the eigenvectors and,
   when noise_scale != 0, the 3 entries of the tangent noise.
@@ -17,8 +17,8 @@ Draw order, which defines every scene as much as its seed does:
   when sigma > 0, then `random(3)` for the eigenvalue increments when gamma > 0.
 numpy's `uniform(lo, hi)` is `lo + (hi - lo) * random()` and `normal(0, s)` is
 `0.0 + s * standard_normal()`, so these give the numbers of the laws' uniform
-and normal draws bit for bit, and consecutive normals fill one array as they
-fill several.
+and normal draws bit for bit, and consecutive normals (or uniforms) fill one
+array as they fill several.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .viewgraph import ViewGraph, check_count
 EIGENVALUE_LOWER_LO = 10.0
 EIGENVALUE_LOWER_HI = 100.0
 MAX_REDRAWS = 100
+# Pairs per edge-mask draw, so memory is O(block + |E|); the fastest of 2^12-2^20.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -186,9 +188,11 @@ def gen_general_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -
     gt = so3.quaternion_rotation(rng.standard_normal((n, 4)))  # as n random_rotation calls
     rows = np.arange(n)
     row_start = rows * (2 * n - rows - 1) // 2  # row-major index of pair (i, i + 1)
+    pairs = n * (n - 1) // 2
 
     for _ in range(MAX_REDRAWS):
-        k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+        k = np.concatenate([start + np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - start)) < p)
+                            for start in range(0, pairs, _PAIR_BLOCK)])
         i = np.searchsorted(row_start, k, side="right") - 1
         graph = _scene_graph(n, gt, i, k - row_start[i] + i + 1, spec.noise_scale, rng)
         if graph.is_connected():

@@ -11,6 +11,7 @@ stacked validator; `EdgeMeasurement` is the per-edge view of the same data.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from array import array
 from collections.abc import Iterable, Sequence
@@ -23,6 +24,7 @@ from . import so3
 
 SYMMETRY_TOL = 1e-9
 OFF_MANIFOLD_TOL = 1e-6
+_CHOLESKY_MAX = 1e6  # _not_psd's verdicts measured equal to eigvalsh's up to here, not at 1e7
 FLOAT_FMT = "%.17g"
 _MATRIX_FMT = " ".join([FLOAT_FMT] * 9)  # one 3x3 matrix, row-major
 
@@ -71,15 +73,33 @@ def _endpoints(x) -> np.ndarray:
     return x.astype(np.intp)
 
 
+def _not_psd(h: np.ndarray) -> np.ndarray:
+    """`eigvalsh(h)[:, 0] < -SYMMETRY_TOL` per row of a finite (E, 3, 3) stack.
+
+    One Cholesky factor, which reads the same lower triangle, certifies every
+    row positive definite without eigvalsh. For entries of at most
+    _CHOLESKY_MAX its rounding stays below SYMMETRY_TOL and it cannot overflow
+    into a NaN factor, which OpenBLAS returns without error. It is not tried on a
+    stack with a diagonal entry <= 0, such as a zero (no-Hessian) row, where
+    it must fail, nor on one row (an `EdgeMeasurement`), where it costs as
+    much as eigvalsh.
+    """
+    if len(h) > 1 and np.diagonal(h, axis1=1, axis2=2).min() > 0 and np.abs(h).max() <= _CHOLESKY_MAX:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(h)
+            return np.zeros(len(h), dtype=bool)
+    return np.linalg.eigvalsh(h)[:, 0] < -SYMMETRY_TOL
+
+
 def _check_edges(i, j, rel, hess, n=None):
     """Raise RowError on the first invalid edge; with n, return each rel's SO(3) defect.
 
     Each edge runs the checks in this order: self-edge, canonical order,
     rotation shape and finiteness, Hessian shape, finiteness, symmetry and
-    PSD-ness, then, if n is given, the rotation's `so3.rotation_defect` (at
-    most OFF_MANIFOLD_TOL), vertex range and duplicates. The earliest failing
-    edge is reported with the first check it fails. A zero `hess` row, which
-    stands for an edge without a Hessian, passes.
+    PSD-ness (`_not_psd`), then, if n is given, the rotation's
+    `so3.rotation_defect` (at most OFF_MANIFOLD_TOL), vertex range and
+    duplicates. The earliest failing edge is reported with the first check it
+    fails. A zero `hess` row, which stands for an edge without a Hessian, passes.
     """
     every, at, defect = np.ones(len(i), dtype=bool), "edge ({i},{j})", None
     rel_shape, h_shape = rel.shape[1:], hess.shape[1:]
@@ -97,7 +117,7 @@ def _check_edges(i, j, rel, hess, n=None):
         checks += [
             (~finite, at + ": Hessian not finite"),
             (np.einsum("eab,eab->e", skew, skew) > SYMMETRY_TOL**2, at + ": Hessian not symmetric"),
-            (np.linalg.eigvalsh(h)[:, 0] < -SYMMETRY_TOL, at + ": Hessian not PSD"),
+            (_not_psd(h), at + ": Hessian not PSD"),
         ]
     if n is not None:
         defect = so3.rotation_defect(rel) if rel_shape == (3, 3) else np.full(len(i), np.inf)
@@ -265,11 +285,17 @@ def clamp_psd(h: np.ndarray) -> np.ndarray:
 
     Works on one 3x3 matrix or a stack over leading axes. A matrix whose
     smallest eigenvalue already clears the floor is returned unchanged
-    (symmetrized).
+    (symmetrized). A finite Cholesky factor of h - 2*floor*I, whose rounding is
+    a few ulps of tr(h), certifies that for the whole stack without eigh.
     """
     h = np.asarray(h, dtype=float)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     floor = 1e-9 * np.maximum(np.trace(h, axis1=-2, axis2=-1), 0.0) / 3.0
+    with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf: no certificate
+        shifted = h - 2.0 * floor[..., None, None] * np.eye(3)
+    with contextlib.suppress(np.linalg.LinAlgError):  # nor a NaN factor: OpenBLAS passes NaN pivots
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return h
     w, v = np.linalg.eigh(h)
     clamped = (v * np.maximum(w, floor[..., None])[..., None, :]) @ np.swapaxes(v, -1, -2)
     return np.where((w[..., 0] >= floor)[..., None, None], h, clamped)

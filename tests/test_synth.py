@@ -1,6 +1,7 @@
 """Tests for synthetic scene generation and the tangent-space noise model."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ class TestGeneralScene:
         for e in sc.graph.edges:
             assert so3.is_rotation(e.rel)
 
+    def test_edge_mask_memory_grows_with_edges(self):
+        """The candidate-pair uniforms are drawn in blocks: at n=3000 one draw of
+        all 4.5 million would alone take 36 MB."""
+        tracemalloc.start()
+        try:
+            generate_scene(SceneSpec(kind="general", n=3000, p=0.005, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
     def test_persistent_disconnection_errors(self):
         with pytest.raises(RuntimeError, match="connected"):
             gen_general_scene(SceneSpec(kind="general", n=60, p=0.01, seed=5))
@@ -309,6 +321,8 @@ PARITY_SPECS = [
     # 1000+ edges, 7000+ normals: the ziggurat rejects and redraws mid-stream
     SceneSpec(kind="general", n=60, p=0.6, seed=16),
     SceneSpec(kind="loop", n=12, perturb_sigma_deg=10.0, perturb_gamma=0.3, seed=17),
+    # 179,700 candidate pairs: the edge mask is drawn in three blocks
+    SceneSpec(kind="general", n=600, p=0.01, seed=26),
     SceneSpec(kind="general", n=16, p=0.12, seed=2),  # needs redraws
 ]
 
@@ -327,6 +341,8 @@ class TestStackedParity:
         assert (attempts > 1) == (spec is PARITY_SPECS[-1])
         if spec is PARITY_SPECS[5]:
             assert len(edges) >= 1000
+        if spec is PARITY_SPECS[7]:
+            assert spec.n * (spec.n - 1) // 2 > 2 * synth._PAIR_BLOCK
         assert [r.bit_generator.state for r in made_generators] == [r.bit_generator.state for r in rngs]
 
     @pytest.mark.parametrize("sigma_deg, gamma", [(0.0, 0.0), (10.0, 0.0), (0.0, 0.3), (10.0, 0.3)])

@@ -1,12 +1,15 @@
 """Tests for the view-graph data model, block assembly, trees, and file I/O."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from rotavg import so3
+from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import (
+    SYMMETRY_TOL,
     ConnectionBlocks,
     EdgeMeasurement,
     GraphFormatError,
@@ -365,6 +368,26 @@ class TestAnisotropicWeight:
             anisotropic_weight(hs)
 
 
+def reference_clamp_psd(h):
+    """clamp_psd by one eigendecomposition of the whole stack."""
+    h = np.asarray(h, dtype=float)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    floor = 1e-9 * np.maximum(np.trace(h, axis1=-2, axis2=-1), 0.0) / 3.0
+    w, v = np.linalg.eigh(h)
+    clamped = (v * np.maximum(w, floor[..., None])[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return np.where((w[..., 0] >= floor)[..., None, None], h, clamped)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def with_eigenvalues(v, lam):
+    """Exactly symmetric stack with eigenvectors v (k, 3, 3) and eigenvalues lam (k, 3)."""
+    h = (v * lam[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return 0.5 * (h + np.swapaxes(h, 1, 2))
+
+
 class TestClampPsd:
     def test_spd_unchanged(self):
         h = random_spd(np.random.default_rng(2))
@@ -375,6 +398,118 @@ class TestClampPsd:
         out = clamp_psd(h)
         assert np.linalg.eigvalsh(out).min() > 0
         np.linalg.cholesky(out)  # must succeed
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4, 1e6])
+    def test_equals_eigh_formula_near_floor(self, scale):
+        """Smallest eigenvalue from -1 to 10 times the floor 1e-9 tr/3, for a
+        stack, one 3x3 matrix and a stack of one."""
+        rng = np.random.default_rng(41)
+        v = so3.quaternion_rotation(rng.standard_normal((60, 4)))
+        big = scale * rng.uniform(0.1, 1.0, (60, 2))
+        floor = 1e-9 * big.sum(axis=1) / 3.0
+        for mult in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0):
+            h = with_eigenvalues(v, np.column_stack([mult * floor, big]))
+            for x in (h, h[0], h[:1], h[1:2]):
+                assert same_bits(clamp_psd(x), reference_clamp_psd(x))
+
+    def test_empty_and_nonfinite_as_eigh_formula(self):
+        """Same result, or same error, and the same warnings."""
+        def outcome(f, h):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = f(h)
+                except np.linalg.LinAlgError as exc:
+                    out = repr(exc)
+            return out, [str(w.message) for w in caught]
+
+        assert same_bits(clamp_psd(np.zeros((0, 3, 3))), reference_clamp_psd(np.zeros((0, 3, 3))))
+        for entry, value, stacked in itertools.product([(0, 0), (2, 0)], [np.nan, np.inf],
+                                                       [False, True]):
+            h = np.eye(3)
+            h[entry] = value
+            h = np.stack([np.eye(3), h]) if stacked else h
+            got, want = outcome(clamp_psd, h), outcome(reference_clamp_psd, h)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
+def near_threshold_hessians(rng, scale, k=140):
+    """Symmetric Hessians with two eigenvalues of size `scale` and the smallest
+    at -SYMMETRY_TOL, up to 1e-9 relative away from it, or in [0, SYMMETRY_TOL];
+    every 7th row is singular PSD and every 11th zero (an edge without Hessian)."""
+    v = so3.quaternion_rotation(rng.standard_normal((k, 4)))
+    low = -SYMMETRY_TOL * (1 + rng.uniform(-1, 1, k) * rng.choice([1.0, 1e-2, 1e-6, 1e-9, 0.0], k))
+    low[::7] = 0.0
+    low[1::7] = rng.uniform(0.0, SYMMETRY_TOL, len(low[1::7]))
+    h = with_eigenvalues(v, np.column_stack([low, scale * rng.uniform(0.1, 1.0, (k, 2))]))
+    h[::11] = 0.0
+    return h
+
+
+def star_graph(hess):
+    """from_arrays on edges (0, k + 1) with identity rotations and the given Hessians."""
+    k = len(hess)
+    return ViewGraph.from_arrays(k + 1, np.zeros(k, int), np.arange(1, k + 1),
+                                 np.tile(np.eye(3), (k, 1, 1)), hess)
+
+
+class TestPsdVerdict:
+    """The validator rejects exactly the rows with eigvalsh(h)[:, 0] < -SYMMETRY_TOL,
+    whether a Cholesky factor certifies the stack or eigvalsh decides."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e7])
+    def test_verdicts_equal_eigvalsh(self, scale):
+        """Row by row, as one edge and next to an identity Hessian (a stack the
+        Cholesky factor may certify), and as one stack naming the first bad row."""
+        h = near_threshold_hessians(np.random.default_rng(40), scale)
+        bad = np.linalg.eigvalsh(h)[:, 0] < -SYMMETRY_TOL
+        assert 0 < bad.sum() < len(h)
+        for m, reject in zip(h, bad):
+            if reject:
+                with pytest.raises(ValueError, match="Hessian not PSD"):
+                    EdgeMeasurement(0, 1, np.eye(3), m)
+                with pytest.raises(RowError, match="edge \\(0,2\\): Hessian not PSD"):
+                    star_graph(np.stack([np.eye(3), m]))
+            else:
+                EdgeMeasurement(0, 1, np.eye(3), m)
+                star_graph(np.stack([np.eye(3), m]))
+        star_graph(h[~bad])
+        with pytest.raises(RowError, match="Hessian not PSD") as info:
+            star_graph(h)
+        assert info.value.index == np.argmax(bad)
+
+    def test_spd_stacks_skip_eigensolvers(self, monkeypatch):
+        """Generated SPD Hessians are certified by Cholesky in the validator and in clamp_psd."""
+        hess = generate_scene(SceneSpec(kind="general", n=40, p=0.3, seed=3)).graph.hess
+
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+        star_graph(hess)
+        assert same_bits(clamp_psd(hess), 0.5 * (hess + np.swapaxes(hess, 1, 2)))
+
+    def test_no_factor_where_it_cannot_pay(self, monkeypatch):
+        """A single edge, or a stack with an edge without Hessian, goes straight to eigvalsh."""
+        def no_factor(*args, **kwargs):
+            raise AssertionError("cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        EdgeMeasurement(0, 1, np.eye(3), 2.0 * np.eye(3))
+        ViewGraph(3, [EdgeMeasurement(0, 1, np.eye(3), 2.0 * np.eye(3)),
+                      EdgeMeasurement(1, 2, np.eye(3))])
+
+    def test_large_entries_decided_by_eigvalsh(self):
+        """This indefinite row factors without error into a NaN factor; beyond
+        entries of 1e6 the factor is not trusted, so the row is rejected."""
+        h = np.eye(3)
+        h[0, 0], h[0, 2], h[2, 0] = 1e-100, -1e300, -1e300
+        hess = np.stack([np.eye(3), h])
+        assert np.isnan(np.linalg.cholesky(hess)).any()
+        with pytest.raises(RowError, match="edge \\(0,2\\): Hessian not PSD"):
+            star_graph(hess)
 
 
 class TestAssembleBlocks:
