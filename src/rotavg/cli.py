@@ -113,16 +113,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    t0 = time.perf_counter()
     est = load_rotations(args.est)
     gt = load_rotations(args.gt)
+    timings = {"load": _ms_since(t0)}
     if est.shape != gt.shape:
         raise ValueError(
             f"camera count mismatch: {est.shape[0]} estimated vs {gt.shape[0]} ground truth"
         )
     thresholds = [float(t) for t in args.auc.split(",") if t]
+    t0 = time.perf_counter()
     report = metrics.evaluate(est, gt, thresholds)
+    timings["evaluate"] = _ms_since(t0)
+    t0 = time.perf_counter()
     metrics.write_metrics_json(report, args.out)
-    _write_manifest(args, {})
+    timings["save"] = _ms_since(t0)
+    _write_manifest(args, timings)
     print(
         f"rms {report.rms_deg:.6g} deg, aa {report.aa_percent:.4g}%, "
         + ", ".join(f"auc@{t:g} {v:.4g}%" for t, v in report.auc_percent.items())

@@ -15,7 +15,10 @@ edge's two coupling blocks and the edge-camera incidence), and each
 iteration only refills the block values. The system is solved by conjugate
 gradients with a block-Jacobi (inverted 3x3 diagonal block) preconditioner,
 after Agarwal et al., "Bundle Adjustment in the Large" (ECCV 2010), with a
-direct sparse solve as fallback.
+direct sparse solve as fallback. In iso mode every precision is the
+identity and the system is L_w kron I3: the slots hold the scalar weighted
+Laplacian L_w, solved for three right-hand-side columns with a 1/diagonal
+preconditioner.
 
 Frame bookkeeping: the per-edge Hessian expresses the precision of a
 right-multiplicative error at the measured relative rotation. The tangent
@@ -104,8 +107,6 @@ class _EdgeModel:
             scale = np.sqrt(np.einsum("eaa->e", self.h) / 3.0)
             self.dn = np.swapaxes(np.linalg.cholesky(self.h), 1, 2) / scale[:, None, None]
             self.norm_scale = scale
-        else:
-            self.h = np.tile(np.eye(3), (len(self.i_idx), 1, 1))
 
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""
@@ -119,10 +120,10 @@ class _EdgeModel:
         eps = np.einsum("eab,eb->ea", r[self.i_idx], omegas)
         return np.linalg.norm(np.einsum("eab,eb->ea", self.dn, eps), axis=1)
 
-    def effective_precisions(self, r: np.ndarray) -> np.ndarray:
-        """R_i^T H R_i per edge: precision of the residual at the iterate."""
+    def effective_precisions(self, r: np.ndarray) -> np.ndarray | None:
+        """R_i^T H R_i per edge, the residual's precision at the iterate; None in iso (identity)."""
         if self.mode == "iso":
-            return self.h
+            return None
         ri = r[self.i_idx]
         return np.transpose(ri, (0, 2, 1)) @ self.h @ ri
 
@@ -133,7 +134,8 @@ class _NormalPattern:
     The system has one 3x3 block per free camera on the diagonal and one
     per direction of each edge between free cameras. The structure depends
     only on the edges, so a refinement builds it once; each IRLS iteration
-    only writes new block values into the fixed slots of a BSR matrix.
+    only writes new values into the fixed slots of a BSR matrix (a CSR
+    matrix with one scalar per slot in iso mode).
     """
 
     def __init__(self, g: ViewGraph):
@@ -163,23 +165,31 @@ class _NormalPattern:
         # Every matrix built from the pattern shares these arrays.
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
-    def assemble(self, weights: np.ndarray, precisions: np.ndarray, omegas: np.ndarray):
-        """(A, rhs, diagonal blocks) of the system for these edge values."""
-        m = self.m
-        wh = np.asarray(weights, dtype=float)[:, None, None] * precisions
-        g_vec = np.einsum("eab,eb->ea", wh, omegas)
-        diag = (self.cover @ wh.reshape(-1, 9)).reshape(m, 3, 3)
-        data = np.empty((len(self.indices), 3, 3))
+    def assemble(self, weights: np.ndarray, precisions: np.ndarray | None, omegas: np.ndarray):
+        """(A, rhs, diagonal) of the system for these edge values.
+
+        Without precisions (iso), A is the m x m CSR weighted Laplacian,
+        rhs has one column per tangent axis and the diagonal is a vector.
+        """
+        m, w = self.m, np.asarray(weights, dtype=float)
+        if precisions is None:
+            wh, diag, rhs = w, self.cover @ w, self.incidence @ (w[:, None] * omegas)
+            fmt, size = sp.csr_matrix, m
+        else:
+            wh = w[:, None, None] * precisions
+            diag = (self.cover @ wh.reshape(-1, 9)).reshape(m, 3, 3)
+            rhs = (self.incidence @ np.einsum("eab,eb->ea", wh, omegas)).ravel()
+            fmt, size = sp.bsr_matrix, 3 * m
+        data = np.empty(self.indices.shape + wh.shape[1:])
         data[self.diag_slot] = diag
         data[self.coupling_slot] = -wh[self.coupling_edge]
-        a = sp.bsr_matrix((data, self.indices, self.indptr), shape=(3 * m, 3 * m))
-        return a, (self.incidence @ g_vec).ravel(), diag
+        return fmt((data, self.indices, self.indptr), shape=(size, size)), rhs, diag
 
 
 def solve_normal_equations(
     pattern: _NormalPattern,
     weights: np.ndarray,
-    precisions: np.ndarray,
+    precisions: np.ndarray | None,
     omegas: np.ndarray,
 ) -> np.ndarray:
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
@@ -189,6 +199,9 @@ def solve_normal_equations(
     the blocks -w_e P_e and the diagonal sums into `pattern`, then solves by
     conjugate gradients preconditioned with the inverted 3x3 diagonal
     blocks, falling back to a direct sparse solve if CG does not converge.
+    No precisions means the identity on every edge (iso): the system is then
+    the weighted Laplacian with three right-hand-side columns, solved the
+    same way with a 1/diagonal preconditioner.
 
     Raises:
         ValueError: if the system is singular (a camera whose edges carry
@@ -196,12 +209,20 @@ def solve_normal_equations(
     """
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
     g, m = pattern.graph, pattern.m
-    try:
-        diag_inv = np.linalg.inv(diag)
-    except np.linalg.LinAlgError:
-        raise _singular(g) from None
-    precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=(3 * m, 3 * m))
-    delta_free, info = spla.cg(a, rhs, rtol=CG_RTOL, M=precond)
+    if precisions is None:
+        if not np.all(np.isfinite(diag) & (diag != 0)):
+            raise _singular(g)
+        shape, diag_inv = (3 * m, 3 * m), np.repeat(1.0 / diag, 3)
+        op = spla.LinearOperator(shape, lambda x: (a @ x.reshape(m, 3)).ravel(), dtype=float)
+        precond = spla.LinearOperator(shape, lambda x: diag_inv * x, dtype=float)
+    else:
+        try:
+            diag_inv = np.linalg.inv(diag)
+        except np.linalg.LinAlgError:
+            raise _singular(g) from None
+        op = a
+        precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=(3 * m, 3 * m))
+    delta_free, info = spla.cg(op, rhs.ravel(), rtol=CG_RTOL, M=precond)
     if info != 0:
         delta_free = spla.spsolve(a.tocsc(), rhs)
     if not np.all(np.isfinite(delta_free)):

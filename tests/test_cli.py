@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rotavg import robust, so3
 from rotavg.cli import main
 from rotavg.synth import SceneSpec, generate_scene, perturbed_graph
 from rotavg.viewgraph import load_rotations, load_view_graph, save_view_graph
@@ -113,6 +114,30 @@ class TestSolveEval:
                     "--out", tmp_path / "e.rot", "--manifest", man]) == 0
         assert set(json.loads(man.read_text())["timings_ms"]) == {"load", "save"}
 
+    @pytest.mark.filterwarnings("ignore:vertex 0 has no incident edges")
+    def test_per_component_one_camera_refine(self, tmp_path, monkeypatch):
+        """A one-camera component refines as an empty system and keeps the identity."""
+        vg, est = tmp_path / "lone.vg", tmp_path / "e.rot"
+        rng = np.random.default_rng(2)
+        rot = [" ".join("%.17g" % v for v in so3.random_rotation(rng).ravel()) for _ in range(3)]
+        vg.write_text(f"VGRAPH 1 4\nEDGE 0 1 {rot[0]}\nEDGE 1 2 {rot[1]}\nEDGE 0 2 {rot[2]}\n")
+        free_cameras, solve = [], robust.solve_normal_equations
+        monkeypatch.setattr(robust, "solve_normal_equations",
+                            lambda p, *a: free_cameras.append(p.m) or solve(p, *a))
+        assert run(["solve", "--in", vg, "--mode", "iso", "--per-component", "--robust", "irls",
+                    "--out", est]) == 0
+        assert 0 in free_cameras and 2 in free_cameras
+        assert np.array_equal(load_rotations(est)[3], np.eye(3))
+
+    def test_eval_manifest_timings(self, noiseless_loop, tmp_path):
+        _, gt = noiseless_loop
+        man = tmp_path / "m.json"
+        assert run(["eval", "--est", gt, "--gt", gt, "--out", tmp_path / "metrics.json",
+                    "--manifest", man]) == 0
+        timings = json.loads(man.read_text())["timings_ms"]
+        assert set(timings) == {"load", "evaluate", "save"}
+        assert all(t >= 0 for t in timings.values())
+
     def test_trace_files(self, noiseless_loop, tmp_path):
         vg, _ = noiseless_loop
         est = tmp_path / "e.rot"
@@ -194,7 +219,6 @@ class TestSolveEval:
         vg = tmp_path / "h2i.vg"
         rng = np.random.default_rng(9)
         # Noisy triangle with H = 2I everywhere.
-        from rotavg import so3
         from rotavg.viewgraph import EdgeMeasurement, ViewGraph, save_view_graph
 
         gt = [so3.random_rotation(rng) for _ in range(3)]

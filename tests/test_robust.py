@@ -164,10 +164,15 @@ class TestNormalEquations:
         want, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         np.testing.assert_allclose(delta[1:].ravel(), want, atol=1e-8)
 
-    @pytest.mark.parametrize("cg_fails", [False, True], ids=["cg", "direct_fallback"])
-    def test_weight_spread_against_dense_solve(self, cg_fails, monkeypatch):
+    @pytest.mark.parametrize(
+        "cg_fails, iso", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["cg", "direct_fallback", "iso-cg", "iso-direct_fallback"],
+    )
+    def test_weight_spread_against_dense_solve(self, cg_fails, iso, monkeypatch):
         # Weights over 1e-6..1 and anisotropic precisions: least squares on
         # the rows sqrt(w_e) D_e (delta_j - delta_i - omega_e), camera 0 pinned.
+        # Iso passes no precisions and is checked against D_e = I; on the CG
+        # path it equals the block solve with identity precisions bit for bit.
         if cg_fails:
             monkeypatch.setattr(robust.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
         rng = np.random.default_rng(13)
@@ -176,7 +181,13 @@ class TestNormalEquations:
         weights = 10.0 ** rng.uniform(-6.0, 0.0, e_count)
         precisions = np.stack([random_spd(rng) for _ in range(e_count)])
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        delta = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
+        pattern = robust._NormalPattern(g)
+        if iso:
+            precisions = np.tile(np.eye(3), (e_count, 1, 1))
+        delta = solve_normal_equations(pattern, weights, None if iso else precisions, omegas)
+        if iso and not cg_fails:
+            block = solve_normal_equations(pattern, weights, precisions, omegas)
+            assert np.array_equal(delta, block)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         m = g.n - 1
         jac = np.zeros((3 * e_count, 3 * m))
@@ -191,8 +202,10 @@ class TestNormalEquations:
         want, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         np.testing.assert_allclose(delta[1:].ravel(), want, atol=1e-8)
 
-    def test_assembled_system_matches_per_edge_sum(self):
+    @pytest.mark.parametrize("iso", [False, True], ids=["aniso", "iso"])
+    def test_assembled_system_matches_per_edge_sum(self, iso):
         # Camera 0 on three edges; camera 5's only edge goes to camera 0.
+        # Iso assembles the scalar Laplacian L, and the system is L kron I3.
         pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
         g = ViewGraph(6, [EdgeMeasurement(i, j, np.eye(3)) for i, j in pairs])
         rng = np.random.default_rng(14)
@@ -200,7 +213,13 @@ class TestNormalEquations:
         weights = 10.0 ** rng.uniform(-6.0, 0.0, e_count)
         precisions = np.stack([random_spd(rng) for _ in range(e_count)])
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        a, rhs, _ = robust._NormalPattern(g).assemble(weights, precisions, omegas)
+        pattern = robust._NormalPattern(g)
+        if iso:
+            precisions = np.tile(np.eye(3), (e_count, 1, 1))
+            block = solve_normal_equations(pattern, weights, precisions, omegas)
+            assert np.array_equal(solve_normal_equations(pattern, weights, None, omegas), block)
+        a, rhs, _ = pattern.assemble(weights, None if iso else precisions, omegas)
+        a, rhs = (np.kron(a.toarray(), np.eye(3)), rhs.ravel()) if iso else (a.toarray(), rhs)
         m = g.n - 1
         want_a, want_rhs = np.zeros((m, 3, m, 3)), np.zeros((m, 3))
         for (i, j), w, p, om in zip(pairs, weights, precisions, omegas):
@@ -213,7 +232,7 @@ class TestNormalEquations:
             want_rhs[j - 1] += wp @ om
         want_a = want_a.reshape(3 * m, 3 * m)
         assert a.shape == want_a.shape
-        np.testing.assert_allclose(a.toarray(), want_a, rtol=1e-14, atol=1e-14 * np.abs(want_a).max())
+        np.testing.assert_allclose(a, want_a, rtol=1e-14, atol=1e-14 * np.abs(want_a).max())
         np.testing.assert_allclose(rhs, want_rhs.ravel(), rtol=1e-14, atol=1e-14 * np.abs(want_rhs).max())
 
     @pytest.mark.parametrize(
@@ -226,6 +245,26 @@ class TestNormalEquations:
             solve_normal_equations(
                 robust._NormalPattern(g), np.ones(e_count), np.tile(np.eye(3), (e_count, 1, 1)),
                 0.1 * np.ones((e_count, 3)),
+            )
+
+    @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
+    @pytest.mark.parametrize("weight", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("iso", [False, True], ids=["aniso", "iso"])
+    def test_unweighted_camera_is_singular(self, iso, weight, monkeypatch):
+        # The pattern is connected, but every edge of camera 3 has this weight.
+        # The diagonal check rejects it before CG runs, except on the block
+        # path with NaN weights, whose inverse LAPACK computes without error.
+        if iso or weight == 0.0:
+            monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: pytest.fail("CG ran"))
+        rng = np.random.default_rng(15)
+        g, _ = noisy_graph(5, rng)
+        e_count = len(g.edges)
+        weights = rng.uniform(0.1, 1.0, e_count)
+        weights[(g.i_idx == 3) | (g.j_idx == 3)] = weight
+        precisions = None if iso else np.stack([random_spd(rng) for _ in range(e_count)])
+        with pytest.raises(ValueError, match="singular"):
+            solve_normal_equations(
+                robust._NormalPattern(g), weights, precisions, 0.1 * np.ones((e_count, 3))
             )
 
     def test_pinned_gauge_makes_system_nonsingular(self):
