@@ -20,8 +20,8 @@ from .pipeline import run_per_component, run_pipeline
 from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
 
 
-def _write_manifest(args, timings_ms) -> None:
-    """Write the run's manifest to --manifest, if given."""
+def _write_manifest(args, timings_ms, **outcomes) -> None:
+    """Write the run's manifest to --manifest, if given, with a record per outcome."""
     if not args.manifest:
         return
     payload = {
@@ -29,6 +29,7 @@ def _write_manifest(args, timings_ms) -> None:
         "config": {**vars(args), "func": None},
         "timings_ms": timings_ms,
         "version": __version__,
+        **outcomes,
     }
     with open(args.manifest, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -104,10 +105,13 @@ def cmd_solve(args) -> int:
         write_trace_csv(result.solve, args.trace)
     if args.robust_trace and result.refine is not None:
         write_robust_trace_csv(result.refine, args.robust_trace)
-    _write_manifest(args, {"load": load_ms, **result.timings_ms, "save": _ms_since(t0)})
+    solve, newton = result.solve, sum(result.solve.newton_trace)
+    _write_manifest(args, {"load": load_ms, **result.timings_ms, "save": _ms_since(t0)},
+                    solve={"status": solve.status, "sweeps": solve.sweeps_run - newton,
+                           "newton_steps": newton, "objective": solve.objective_trace[-1]})
     print(
-        f"solved {graph.n} cameras in {result.solve.sweeps_run} sweeps "
-        f"({result.solve.status})"
+        f"solved {graph.n} cameras in {solve.sweeps_run - newton} sweeps and "
+        f"{newton} Newton steps ({solve.status})"
     )
     return 0
 

@@ -18,7 +18,8 @@ after Agarwal et al., "Bundle Adjustment in the Large" (ECCV 2010), with a
 direct sparse solve as fallback. In iso mode every precision is the
 identity and the system is L_w kron I3: the slots hold the scalar weighted
 Laplacian L_w, solved for three right-hand-side columns with a 1/diagonal
-preconditioner.
+preconditioner. The ACD Newton step (`solver.newton_system`) fills the same
+pattern and calls the same CG.
 
 Frame bookkeeping: the per-edge Hessian expresses the precision of a
 right-multiplicative error at the measured relative rotation. The tangent
@@ -129,16 +130,17 @@ class _EdgeModel:
 
 
 class _NormalPattern:
-    """Block structure of one graph's free-camera normal equations.
+    """Block structure of one connected graph's free-camera normal equations.
 
     The system has one 3x3 block per free camera on the diagonal and one
     per direction of each edge between free cameras. The structure depends
-    only on the edges, so a refinement builds it once; each IRLS iteration
-    only writes new values into the fixed slots of a BSR matrix (a CSR
-    matrix with one scalar per slot in iso mode).
+    only on `g.n`, `g.i_idx` and `g.j_idx`, so a refinement (from a
+    `ViewGraph`) or an ACD solve (from `ConnectionBlocks`) builds it once;
+    each system only writes new values into the fixed slots of a BSR matrix
+    (a CSR matrix with one scalar per slot in iso mode).
     """
 
-    def __init__(self, g: ViewGraph):
+    def __init__(self, g):
         if not g.is_connected():
             raise _singular(g)
         self.graph = g  # the component sizes of a singular-system error
@@ -152,8 +154,11 @@ class _NormalPattern:
         order = np.lexsort((cols, rows))
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
-        self.m, self.diag_slot, self.coupling_slot = m, slot[:m], slot[m:]
-        self.coupling_edge = np.tile(free, 2)
+        self.m, self.diag_slot = m, slot[:m]
+        # Slots of each edge's (i, j) and (j, i) blocks; an edge at camera 0 has none
+        # and writes both to a spare slot past the end, so no edge subset is copied.
+        self.upper_slot, self.lower_slot = np.full((2, len(fj)), len(order))
+        self.upper_slot[free], self.lower_slot[free] = slot[m:m + len(a)], slot[m + len(a):]
         # int32, as scipy would otherwise convert them on every build.
         self.indices = cols[order].astype(np.int32)
         self.indptr = np.searchsorted(rows[order], np.arange(m + 1)).astype(np.int32)
@@ -165,6 +170,16 @@ class _NormalPattern:
         # Every matrix built from the pattern shares these arrays.
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
+    def matrix(self, diag: np.ndarray, upper: np.ndarray, lower: np.ndarray):
+        """The matrix with these diagonal blocks and, per edge e, block `upper[e]`
+        at (i, j) and `lower[e]` at (j, i); BSR, or m x m CSR for scalar blocks."""
+        data = np.empty((len(self.indices) + 1,) + diag.shape[1:])
+        data[self.diag_slot] = diag
+        data[self.upper_slot] = upper
+        data[self.lower_slot] = lower
+        fmt, size = (sp.csr_matrix, self.m) if diag.ndim == 1 else (sp.bsr_matrix, 3 * self.m)
+        return fmt((data[:-1], self.indices, self.indptr), shape=(size, size))
+
     def assemble(self, weights: np.ndarray, precisions: np.ndarray | None, omegas: np.ndarray):
         """(A, rhs, diagonal) of the system for these edge values.
 
@@ -174,16 +189,38 @@ class _NormalPattern:
         m, w = self.m, np.asarray(weights, dtype=float)
         if precisions is None:
             wh, diag, rhs = w, self.cover @ w, self.incidence @ (w[:, None] * omegas)
-            fmt, size = sp.csr_matrix, m
         else:
             wh = w[:, None, None] * precisions
             diag = (self.cover @ wh.reshape(-1, 9)).reshape(m, 3, 3)
             rhs = (self.incidence @ np.einsum("eab,eb->ea", wh, omegas)).ravel()
-            fmt, size = sp.bsr_matrix, 3 * m
-        data = np.empty(self.indices.shape + wh.shape[1:])
-        data[self.diag_slot] = diag
-        data[self.coupling_slot] = -wh[self.coupling_edge]
-        return fmt((data, self.indices, self.indptr), shape=(size, size)), rhs, diag
+        coupling = -wh
+        return self.matrix(diag, coupling, coupling), rhs, diag
+
+
+def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None):
+    """x (flat) solving a x = rhs by CG preconditioned with the inverted diagonal
+    blocks, or None if CG gives no finite x within `maxiter` (default 10 per unknown).
+
+    A vector `diag` means scalar blocks: `a` (m x m) then acts on each of the 3
+    columns of rhs, the system a kron I3. Raises np.linalg.LinAlgError, before
+    CG runs, if a diagonal entry or block is not finite and invertible.
+    """
+    m = len(diag)
+    shape = (3 * m, 3 * m)
+    if diag.ndim == 1:
+        if not np.all(np.isfinite(diag) & (diag != 0)):
+            raise np.linalg.LinAlgError("zero or non-finite diagonal entry")
+        diag_inv = np.repeat(1.0 / diag, 3)
+        op = spla.LinearOperator(shape, lambda x: (a @ x.reshape(m, 3)).ravel(), dtype=float)
+        precond = spla.LinearOperator(shape, lambda x: diag_inv * x, dtype=float)
+    else:
+        diag_inv = np.linalg.inv(diag)  # raises on an exactly singular block, not on NaN
+        if not (np.isfinite(diag).all() and np.isfinite(diag_inv).all()):
+            raise np.linalg.LinAlgError("non-finite diagonal block")
+        op = a
+        precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=shape)
+    x, info = spla.cg(op, rhs.ravel(), rtol=CG_RTOL, M=precond, maxiter=maxiter)
+    return x if info == 0 and np.isfinite(x).all() else None
 
 
 def solve_normal_equations(
@@ -196,43 +233,31 @@ def solve_normal_equations(
 
     `precisions` holds D_e^T D_e per edge. Camera 0 is pinned (delta_0 = 0);
     the returned (n, 3) step includes the pinned zero row. Each call fills
-    the blocks -w_e P_e and the diagonal sums into `pattern`, then solves by
-    conjugate gradients preconditioned with the inverted 3x3 diagonal
-    blocks, falling back to a direct sparse solve if CG does not converge.
-    No precisions means the identity on every edge (iso): the system is then
-    the weighted Laplacian with three right-hand-side columns, solved the
-    same way with a 1/diagonal preconditioner.
+    the blocks -w_e P_e and the diagonal sums into `pattern` and solves by
+    `block_jacobi_cg`, with a direct sparse solve as fallback. No precisions
+    means the identity on every edge (iso): the system is then the weighted
+    Laplacian with three right-hand-side columns.
 
     Raises:
         ValueError: if the system is singular (a camera whose edges carry
-            no weight).
+            no weight, or whose weights are not finite).
     """
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
-    g, m = pattern.graph, pattern.m
-    if precisions is None:
-        if not np.all(np.isfinite(diag) & (diag != 0)):
-            raise _singular(g)
-        shape, diag_inv = (3 * m, 3 * m), np.repeat(1.0 / diag, 3)
-        op = spla.LinearOperator(shape, lambda x: (a @ x.reshape(m, 3)).ravel(), dtype=float)
-        precond = spla.LinearOperator(shape, lambda x: diag_inv * x, dtype=float)
-    else:
-        try:
-            diag_inv = np.linalg.inv(diag)
-        except np.linalg.LinAlgError:
-            raise _singular(g) from None
-        op = a
-        precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=(3 * m, 3 * m))
-    delta_free, info = spla.cg(op, rhs.ravel(), rtol=CG_RTOL, M=precond)
-    if info != 0:
+    g = pattern.graph
+    try:
+        delta_free = block_jacobi_cg(a, rhs, diag)
+    except np.linalg.LinAlgError:
+        raise _singular(g) from None
+    if delta_free is None:
         delta_free = spla.spsolve(a.tocsc(), rhs)
     if not np.all(np.isfinite(delta_free)):
         raise _singular(g)
     delta = np.zeros((g.n, 3))
-    delta[1:] = delta_free.reshape(m, 3)
+    delta[1:] = delta_free.reshape(pattern.m, 3)
     return delta
 
 
-def _singular(g: ViewGraph) -> ValueError:
+def _singular(g) -> ValueError:
     sizes = [len(c) for c in g.components()]
     return ValueError(
         f"singular normal equations (graph effectively disconnected, "

@@ -3,6 +3,10 @@
 Each coordinate update replaces one camera's rotation with the SO(3)
 projection of the gathered neighbor term, which solves that camera's
 subproblem globally; sweeps visit cameras in a fresh seeded shuffle.
+Sweeps converge linearly; once their rate predicts many more, `acd_solve`
+polishes with Newton steps on the same objective (Absil, Mahony & Sepulchre,
+"Optimization Algorithms on Matrix Manifolds", 2008), falling back to sweeps
+when a step fails. `max_sweeps` counts iterations, sweeps and Newton steps alike.
 """
 
 from __future__ import annotations
@@ -14,11 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
+from .robust import _NormalPattern, block_jacobi_cg
 from .viewgraph import ConnectionBlocks, check_count
 
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_OBJECTIVE_TOL = 1e-12
 DEFAULT_STEP_TOL_DEG = 1e-7
+# Newton steps start once the sweeps' rate predicts more sweeps than this, about
+# what a Newton phase costs (3-4 steps of 2-3.5 sweeps each); a step may take at
+# most NEWTON_CG_MAXITER CG iterations.
+NEWTON_AFTER_SWEEPS = 10
+NEWTON_CG_MAXITER = 200
 
 
 @dataclass
@@ -45,8 +55,9 @@ class SolveResult:
     rotations: np.ndarray  # (n, 3, 3), all valid rotations
     objective_trace: list[float]
     max_step_trace: list[float] = field(default_factory=list)
-    sweeps_run: int = 0
+    sweeps_run: int = 0  # iterations: sweeps plus Newton steps
     status: str = "max_sweeps_reached"
+    newton_trace: list[bool] = field(default_factory=list)  # per iteration: a Newton step?
 
 
 def make_init(kind: str, n: int, seed: int = 0) -> np.ndarray:
@@ -97,17 +108,66 @@ def _gather_project(indices, coeffs, r, k) -> np.ndarray | None:
     return so3.nearest_rotation(coeffs[k].dot(r.take(indices[k], axis=0).reshape(-1, 3)))
 
 
+def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
+    """(Hessian, -gradient, diagonal blocks) of x -> objective(nb, [R_k exp(x_k)]) at
+    x = 0 over cameras 1..n-1, in `pattern`'s slots (camera 0 is pinned).
+
+    Per edge, with B = R_i^T N_ji^T R_j - tr(.) I and a = (B23 - B32, B31 - B13,
+    B12 - B21), the gradient gains 2a at i and -2a at j, and the Hessian gains
+    2B^T at block (i, j), 2B at (j, i), and -(B + B^T) at (i, i) and (j, j).
+    """
+    b = np.empty_like(nb.lower)
+    for start in range(0, len(b), 4096):  # in blocks: no edge-sized temporaries
+        e = slice(start, start + 4096)
+        np.matmul(np.swapaxes(nb.lower[e] @ r[nb.i_idx[e]], 1, 2), r[nb.j_idx[e]], out=b[e])
+    diagonal = np.arange(3)
+    b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
+    diag = (pattern.cover @ b.reshape(-1, 9)).reshape(-1, 3, 3)
+    diag = -(diag + np.swapaxes(diag, 1, 2))
+    b *= 2.0
+    rhs = pattern.incidence @ (b[:, [1, 2, 0], [2, 0, 1]] - b[:, [2, 0, 1], [1, 2, 0]])
+    return pattern.matrix(diag, np.swapaxes(b, 1, 2), b), rhs.ravel(), diag
+
+
+def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> np.ndarray | None:
+    """[R_k exp(x_k)] for the Newton step x, or None if CG gives no step."""
+    try:
+        x = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER)
+    except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
+        return None
+    return None if x is None else np.concatenate([r[:1], r[1:] @ so3.exp_so3(x.reshape(-1, 3))])
+
+
+def _sweeps_left(s0: float, s2: float, step_tol: float) -> float:
+    """Sweeps from step s2 to step_tol at the rate sqrt(s2 / s0) of three sweep
+    steps s0, s1, s2 (the geometric mean of their two ratios); 0 unless it shrinks."""
+    return math.log(s2 / step_tol) / (0.5 * math.log(s0 / s2)) if s0 > s2 > step_tol else 0.0
+
+
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:
-    """Run coordinate-descent sweeps until the stopping rule or max_sweeps.
+    """Run sweeps, polished by Newton steps, until the stopping rule or max_sweeps iterations.
 
     Updates are applied in place within a sweep (Gauss-Seidel); each sweep
     visits the cameras in a fresh permutation drawn from a generator seeded
-    by (shuffle_seed, sweep index). Converged means the relative objective
+    by (shuffle_seed, iteration). Converged means the relative objective
     decrease and the max per-camera step both fell below their tolerances.
 
-    The max step is measured once per sweep, from the stacks before and after
-    it: the largest geodesic angle between a camera's old and new rotation,
+    The max step is measured once per iteration, from the stacks before and
+    after it: the largest geodesic angle between a camera's old and new rotation,
     in degrees, or 180 if any camera was unassigned when the sweep began.
+
+    Newton polish: once the rate of the last three sweeps' steps predicts more
+    than NEWTON_AFTER_SWEEPS further sweeps to the step tolerance, iterations
+    are Newton steps on x -> objective([R_k exp(x_k)]), camera 0 pinned
+    (`newton_system`, solved by `robust.block_jacobi_cg`). Each is one
+    iteration of the traces and of `max_sweeps`; `newton_trace` marks it. A
+    step is rejected if a diagonal block is not finite and invertible, CG does
+    not converge within NEWTON_CG_MAXITER iterations, or the objective rises
+    by more than objective_tol (relative); that iteration is a sweep. After a
+    rejection, or a kept step that did not lower the objective (the rounding
+    floor), sweeps run until their step falls 10x below that iteration's
+    step and the rate rule holds again. A disconnected graph takes no
+    Newton step.
 
     Zero-start handling: a block equal to zero is unassigned. An unassigned
     camera whose gathered term is (near) zero, because all its neighbors are
@@ -128,41 +188,51 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         raise ValueError(f"init shape {r.shape} does not match n={n}")
     indices, coeffs = nb.neighbor_tables()
 
-    obj_trace: list[float] = []
-    step_trace: list[float] = []
+    result = SolveResult(rotations=r, objective_trace=[])
+    step_trace = result.max_step_trace
     prev_obj = objective(nb, r)
-    status = "max_sweeps_reached"
     # A zero block is unassigned; every block is a rotation after the first sweep.
     unassigned = not np.any(r, axis=(1, 2)).all()
     seeded = bool(r.any())
+    # Newton: the pattern (False if disconnected), whether the next iteration is a
+    # Newton step, the first step a sweep rate may read, and the retry threshold.
+    pattern, newton, rate_from, retry_below = None, False, int(unassigned), math.inf
 
-    for sweep in range(cfg.max_sweeps):
-        r_prev = r.copy()
-        pending = np.random.default_rng([cfg.shuffle_seed, sweep]).permutation(n).tolist()
-        while pending:
-            waited = []
-            for k in pending:
-                new_rk = _gather_project(indices, coeffs, r, k)
-                if new_rk is None:
-                    if r[k].any():  # assigned: keeps its rotation
-                        continue
-                    if len(indices[k]) == 0:
-                        warnings.warn(f"vertex {k} has no incident edges; using identity")
-                    elif seeded:
-                        waited.append(k)
-                        continue
-                    else:
-                        seeded = True
-                    new_rk = np.eye(3)
-                r[k] = new_rk
-            if len(waited) == len(pending):
-                k = waited.pop(0)
-                warnings.warn(
-                    f"vertex {k} is unreachable from the seeded component; "
-                    "starting a new identity seed"
-                )
-                r[k] = np.eye(3)
-            pending = waited
+    for it in range(cfg.max_sweeps):
+        r_prev, tried = r.copy(), newton
+        if newton:  # a rejected step leaves this iteration to a sweep
+            r_new = _newton_iterate(nb, pattern, r)
+            cur_obj = math.inf if r_new is None else objective(nb, r_new)
+            newton = cur_obj - prev_obj <= cfg.objective_tol * max(1.0, abs(prev_obj))
+            if newton:
+                r = r_new
+        if not newton:
+            pending = np.random.default_rng([cfg.shuffle_seed, it]).permutation(n).tolist()
+            while pending:
+                waited = []
+                for k in pending:
+                    new_rk = _gather_project(indices, coeffs, r, k)
+                    if new_rk is None:
+                        if r[k].any():  # assigned: keeps its rotation
+                            continue
+                        if len(indices[k]) == 0:
+                            warnings.warn(f"vertex {k} has no incident edges; using identity")
+                        elif seeded:
+                            waited.append(k)
+                            continue
+                        else:
+                            seeded = True
+                        new_rk = np.eye(3)
+                    r[k] = new_rk
+                if len(waited) == len(pending):
+                    k = waited.pop(0)
+                    warnings.warn(
+                        f"vertex {k} is unreachable from the seeded component; "
+                        "starting a new identity seed"
+                    )
+                    r[k] = np.eye(3)
+                pending = waited
+            cur_obj = objective(nb, r)
         if unassigned:
             max_step = 180.0
             unassigned = False
@@ -173,22 +243,25 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             d = (r - r_prev).reshape(n, 9)
             gap = math.hypot(*d[np.einsum("ka,ka->k", d, d).argmax()].tolist()) if n else 0.0
             max_step = math.degrees(2.0 * math.asin(min(1.0, gap / (2.0 * math.sqrt(2.0)))))
-        cur_obj = objective(nb, r)
-        obj_trace.append(cur_obj)
+        result.objective_trace.append(cur_obj)
         step_trace.append(max_step)
+        result.newton_trace.append(newton)
         rel_decrease = abs(prev_obj - cur_obj) / max(1.0, abs(cur_obj))
-        prev_obj = cur_obj
+        fell, prev_obj = cur_obj < prev_obj, cur_obj
         if rel_decrease < cfg.objective_tol and max_step < cfg.step_tol_deg:
-            status = "converged"
+            result.status = "converged"
             break
+        if tried and not (newton and fell):  # rejected, or flat: back to sweeps
+            newton, rate_from, retry_below = False, it + 1, max_step / 10.0
+        elif (not newton and it - rate_from >= 2 and max_step < retry_below
+                and _sweeps_left(step_trace[-3], max_step, cfg.step_tol_deg) > NEWTON_AFTER_SWEEPS):
+            if pattern is None:
+                pattern = nb.is_connected() and _NormalPattern(nb)
+            newton = bool(pattern)
 
-    return SolveResult(
-        rotations=r,
-        objective_trace=obj_trace,
-        max_step_trace=step_trace,
-        sweeps_run=len(obj_trace),
-        status=status,
-    )
+    result.rotations = r
+    result.sweeps_run = len(step_trace)
+    return result
 
 
 def bcd_oracle_update(nb_iso: ConnectionBlocks, r: np.ndarray, k: int) -> np.ndarray:
@@ -225,7 +298,7 @@ def bcd_oracle_update(nb_iso: ConnectionBlocks, r: np.ndarray, k: int) -> np.nda
 
 
 def write_trace_csv(result: SolveResult, path) -> None:
-    """CSV: sweep,objective,max_step_deg — one row per completed sweep."""
+    """CSV: sweep,objective,max_step_deg — one row per iteration (sweep or Newton step)."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("sweep,objective,max_step_deg\n")
         for s, (obj, step) in enumerate(

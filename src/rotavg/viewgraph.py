@@ -157,7 +157,36 @@ class _EdgeList(Sequence):
         return self._g._edge(range(len(self))[operator.index(k)])
 
 
-class ViewGraph:
+class _Connectivity:
+    """Components of the graph of `n` vertices and edges `i_idx`, `j_idx`, which are fixed."""
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Component label per vertex, numbered by smallest member."""
+        from scipy.sparse import coo_matrix, csgraph  # here: csgraph costs about 1 MB of memory
+
+        adjacency = coo_matrix((np.ones(len(self.i_idx)), (self.i_idx, self.j_idx)),
+                               shape=(self.n, self.n))
+        _, labels = csgraph.connected_components(adjacency, directed=False)
+        _, first = np.unique(labels, return_index=True)
+        labels = np.argsort(np.argsort(first))[labels]
+        labels.flags.writeable = False
+        return labels
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, ordered by smallest member.
+
+        The lists are new on every call; changing them changes no later result.
+        """
+        order = np.argsort(self._labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self._labels[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)] if self.n else []
+
+    def is_connected(self) -> bool:
+        return self.n > 0 and not self._labels.any()
+
+
+class ViewGraph(_Connectivity):
     """n cameras plus undirected relative-rotation measurements, stored as arrays.
 
     `i_idx`, `j_idx` (E,) hold the edge endpoints, `rel` (E, 3, 3) the
@@ -236,31 +265,6 @@ class ViewGraph:
             )
         return self.hess
 
-    @cached_property
-    def _labels(self) -> np.ndarray:
-        """Component label per vertex, numbered by smallest member; the edges are fixed."""
-        from scipy.sparse import coo_matrix, csgraph  # here: csgraph costs about 1 MB of memory
-
-        adjacency = coo_matrix((np.ones(len(self.i_idx)), (self.i_idx, self.j_idx)),
-                               shape=(self.n, self.n))
-        _, labels = csgraph.connected_components(adjacency, directed=False)
-        _, first = np.unique(labels, return_index=True)
-        labels = np.argsort(np.argsort(first))[labels]
-        labels.flags.writeable = False
-        return labels
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member.
-
-        The lists are new on every call; changing them changes no later result.
-        """
-        order = np.argsort(self._labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(self._labels[order])) + 1
-        return [c.tolist() for c in np.split(order, cuts)] if self.n else []
-
-    def is_connected(self) -> bool:
-        return self.n > 0 and not self._labels.any()
-
     def require_connected(self) -> None:
         if not self.is_connected():
             sizes = [len(c) for c in self.components()]
@@ -301,7 +305,7 @@ def clamp_psd(h: np.ndarray) -> np.ndarray:
     return np.where((w[..., 0] >= floor)[..., None, None], h, clamped)
 
 
-class ConnectionBlocks:
+class ConnectionBlocks(_Connectivity):
     """Sparse storage of the symmetric block matrix of the rewritten objective.
 
     For each canonical edge (i < j) the lower block N_ji = M_ij R_ij is

@@ -103,8 +103,21 @@ class TestSolveEval:
         man = tmp_path / "m.json"
         assert run(["solve", "--in", vg, "--robust", robust, "--out", tmp_path / "e.rot",
                     "--manifest", man]) == 0
-        timings = json.loads(man.read_text())["timings_ms"]
+        manifest = json.loads(man.read_text())
+        timings = manifest["timings_ms"]
         assert set(timings) == keys and all(t >= 0 for t in timings.values())
+        solve = manifest["solve"]
+        assert set(solve) == {"status", "sweeps", "newton_steps", "objective"}
+        assert solve["status"] == "converged" and solve["sweeps"] >= 1
+
+    def test_solve_message_counts_sweeps_and_newton_steps(self, tmp_path, capsys):
+        vg, man = tmp_path / "g.vg", tmp_path / "m.json"
+        assert run(["synth", "--kind", "general", "--n", 60, "--p", 0.2, "--seed", 5, "--out", vg]) == 0
+        assert run(["solve", "--in", vg, "--out", tmp_path / "e.rot", "--manifest", man]) == 0
+        solve = json.loads(man.read_text())["solve"]
+        assert solve["newton_steps"] >= 1
+        assert capsys.readouterr().out.endswith(
+            f"in {solve['sweeps']} sweeps and {solve['newton_steps']} Newton steps (converged)\n")
 
     def test_per_component_manifest_timings(self, tmp_path):
         vg, man = tmp_path / "two.vg", tmp_path / "m.json"

@@ -15,6 +15,7 @@ from rotavg.robust import (
     solve_normal_equations,
     write_robust_trace_csv,
 )
+from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import EdgeMeasurement, ViewGraph
 
 
@@ -252,10 +253,9 @@ class TestNormalEquations:
     @pytest.mark.parametrize("iso", [False, True], ids=["aniso", "iso"])
     def test_unweighted_camera_is_singular(self, iso, weight, monkeypatch):
         # The pattern is connected, but every edge of camera 3 has this weight.
-        # The diagonal check rejects it before CG runs, except on the block
-        # path with NaN weights, whose inverse LAPACK computes without error.
-        if iso or weight == 0.0:
-            monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: pytest.fail("CG ran"))
+        # The diagonal check rejects it before CG runs, also on the block path
+        # with NaN weights, whose inverse LAPACK computes without error.
+        monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: pytest.fail("CG ran"))
         rng = np.random.default_rng(15)
         g, _ = noisy_graph(5, rng)
         e_count = len(g.edges)
@@ -266,6 +266,27 @@ class TestNormalEquations:
             solve_normal_equations(
                 robust._NormalPattern(g), weights, precisions, 0.1 * np.ones((e_count, 3))
             )
+
+    def test_nan_block_raises_before_cg(self, monkeypatch):
+        """NaN weights at camera 3 of an n=40 graph: the block path raises at
+        once instead of running CG to its iteration limit."""
+        cg_calls = []
+        monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: cg_calls.append(1))
+        g = generate_scene(SceneSpec(kind="general", n=40, p=0.3, seed=1)).graph
+        weights = np.ones(len(g.i_idx))
+        weights[(g.i_idx == 3) | (g.j_idx == 3)] = np.nan
+        omegas = np.full((len(weights), 3), 0.1)
+        with pytest.raises(ValueError, match="singular"):
+            solve_normal_equations(robust._NormalPattern(g), weights, g.hessian_stack(), omegas)
+        assert cg_calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diagonal_block_raises(self, bad):
+        """LAPACK inverts an infinite block to a finite one; the check reads both."""
+        diag = np.tile(np.eye(3), (2, 1, 1))
+        diag[1, 0, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            robust.block_jacobi_cg(None, np.ones(6), diag)
 
     def test_pinned_gauge_makes_system_nonsingular(self):
         rng = np.random.default_rng(4)

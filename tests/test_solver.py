@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rotavg import so3, solver
+from rotavg import robust, so3, solver
 from rotavg.solver import (
     SolveResult,
     SolverConfig,
@@ -181,8 +181,13 @@ class TestCoordinateUpdate:
 
 class TestAcdSolve:
     def test_one_svd_per_camera_per_sweep(self, monkeypatch):
+        """One SVD per camera per sweep and none per Newton step; the result
+        says which iterations were Newton steps."""
         sc = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=2))
         nb = assemble_blocks(sc.graph, "aniso")
+        full = acd_solve(nb, SolverConfig(), make_init("identity", 30))
+        # Stop after the last Newton step, before any later rejected attempt.
+        last_newton = max(k for k, newton in enumerate(full.newton_trace) if newton)
         svd_calls, at_objective = [], []
         real_dgesdd, real_objective = so3.dgesdd, solver.objective
 
@@ -196,10 +201,13 @@ class TestAcdSolve:
 
         monkeypatch.setattr(so3, "dgesdd", counting_dgesdd)
         monkeypatch.setattr(solver, "objective", marking_objective)
-        res = acd_solve(nb, SolverConfig(max_sweeps=6), make_init("identity", 30))
-        assert res.sweeps_run == 6
-        # One objective before the first sweep and one after each sweep.
-        assert at_objective == [30 * s for s in range(7)]
+        res = acd_solve(nb, SolverConfig(max_sweeps=last_newton + 1), make_init("identity", 30))
+        assert res.sweeps_run == last_newton + 1
+        assert res.newton_trace == full.newton_trace[: last_newton + 1]
+        assert 0 < sum(res.newton_trace) < res.sweeps_run
+        # One objective before the first iteration and one after each.
+        sweeps = np.cumsum([not newton for newton in res.newton_trace])
+        assert at_objective == [0] + [30 * int(s) for s in sweeps]
 
     @pytest.mark.parametrize("init", ["zeros", "identity"])
     def test_nan_block_raises(self, init):
@@ -369,6 +377,102 @@ class TestAcdSolve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sweep,objective,max_step_deg"
         assert len(lines) == 3
+
+
+def sweeps_only(nb, init, seed, sweeps):
+    """The iterates of plain sweeps from a stack that holds a rotation at every camera."""
+    indices, coeffs = nb.neighbor_tables()
+    r = init.copy()
+    for s in range(sweeps):
+        for k in np.random.default_rng([seed, s]).permutation(nb.n):
+            new_rk = solver._gather_project(indices, coeffs, r, k)
+            if new_rk is not None:
+                r[k] = new_rk
+    return r
+
+
+class TestNewtonPolish:
+    TIGHT = dict(objective_tol=1e-300, step_tol_deg=1e-300)
+
+    def pulled_back(self, nb, r, x):
+        """objective(R_k exp(x_k)) over the free cameras' x, camera 0 pinned."""
+        full = np.zeros((nb.n, 3))
+        full[1:] = x.reshape(-1, 3)
+        return objective(nb, r @ so3.exp_so3(full))
+
+    def test_derivatives_match_central_differences(self):
+        """The analytic gradient and Hessian against central differences; the
+        error shrinks as h^2."""
+        sc = generate_scene(SceneSpec(kind="general", n=8, p=0.6, seed=3))
+        nb = assemble_blocks(sc.graph, "aniso")
+        r = make_init("random", 8, seed=1)
+        hess, rhs, diag = solver.newton_system(nb, robust._NormalPattern(nb), r)
+        hess, grad = hess.toarray(), -rhs
+        assert np.array_equal(hess, hess.T)
+        assert np.array_equal(diag, hess.reshape(7, 3, 7, 3)[np.arange(7), :, np.arange(7)])
+        basis, errors = np.eye(21), []
+        for h in (1e-2, 1e-3):
+            f = lambda x: self.pulled_back(nb, r, h * x)  # noqa: E731
+            fd_grad = np.array([f(e) - f(-e) for e in basis]) / (2 * h)
+            fd_hess = np.array([[f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in basis]
+                                for a in basis]) / (4 * h * h)
+            errors.append((np.abs(fd_grad - grad).max(), np.abs(fd_hess - hess).max()))
+        scale = np.abs(hess).max()
+        for coarse, fine in zip(*errors):
+            assert fine <= 1e-5 * scale and 50 <= coarse / fine <= 150
+
+    def test_iso_matches_h_twice_identity(self):
+        """H = 2I gives the iso connection blocks, so the Newton steps are bit-identical."""
+        sc = generate_scene(SceneSpec(kind="general", n=40, p=0.4, seed=77))
+        g2 = ViewGraph.from_arrays(40, sc.graph.i_idx, sc.graph.j_idx, sc.graph.rel,
+                                   np.tile(2 * np.eye(3), (len(sc.graph.i_idx), 1, 1)))
+        iso = acd_solve(assemble_blocks(sc.graph, "iso"),
+                        SolverConfig(mode="iso", max_sweeps=12, **self.TIGHT), make_init("zeros", 40))
+        aniso = acd_solve(assemble_blocks(g2, "aniso"),
+                          SolverConfig(max_sweeps=12, **self.TIGHT), make_init("zeros", 40))
+        assert sum(iso.newton_trace) >= 2
+        assert np.array_equal(iso.rotations, aniso.rotations)
+        for name in ("objective_trace", "max_step_trace", "newton_trace"):
+            assert getattr(iso, name) == getattr(aniso, name)
+
+    def test_newton_reaches_the_sweeps_minimum(self):
+        sc = generate_scene(SceneSpec(kind="general", n=60, p=0.2, seed=5))
+        nb = assemble_blocks(sc.graph, "aniso")
+        res = acd_solve(nb, SolverConfig(), make_init("zeros", 60))
+        assert res.status == "converged" and sum(res.newton_trace) >= 2
+        assert all(so3.is_rotation(r) for r in res.rotations)
+        final = res.objective_trace[-1]
+        assert np.all(np.diff(res.objective_trace) <= 1e-12 * abs(final))  # objective_tol
+        more = objective(nb, sweeps_only(nb, res.rotations, 0, 200))
+        assert abs(more - final) <= 1e-13 * abs(final)
+
+    @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex", "cg_fails", "cg_capped"])
+    def test_no_newton_step_keeps_the_sweeps(self, case, monkeypatch):
+        """A graph that is not connected takes no Newton step, and a step CG
+        cannot give is rejected: the iterates are those of the sweeps, bit for bit."""
+        g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
+        n = 30
+        if case == "disconnected":  # two copies of the scene side by side
+            n = 60
+            g = ViewGraph.from_arrays(n, np.r_[g.i_idx, g.i_idx + 30], np.r_[g.j_idx, g.j_idx + 30],
+                                      np.r_[g.rel, g.rel], np.r_[g.hess, g.hess])
+        elif case == "isolated_vertex":
+            n = 31
+            g = ViewGraph.from_arrays(n, g.i_idx, g.j_idx, g.rel, g.hess)
+        elif case == "cg_fails":
+            monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: None)
+        else:
+            monkeypatch.setattr(solver, "NEWTON_CG_MAXITER", 1)
+        nb = assemble_blocks(g, "aniso")
+        init = make_init("random", n, seed=1)
+        res = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
+        assert not any(res.newton_trace)
+        assert np.array_equal(res.rotations, sweeps_only(nb, init, 0, 12))
+        monkeypatch.undo()  # the connected scene takes Newton steps under the same rule
+        one = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
+        connected = acd_solve(assemble_blocks(one, "aniso"), SolverConfig(max_sweeps=12, **self.TIGHT),
+                              make_init("random", 30, seed=1))
+        assert any(connected.newton_trace)
 
 
 class TestBcdOracle:
