@@ -197,9 +197,11 @@ class _NormalPattern:
         return self.matrix(diag, coupling, coupling), rhs, diag
 
 
-def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None):
-    """x (flat) solving a x = rhs by CG preconditioned with the inverted diagonal
-    blocks, or None if CG gives no finite x within `maxiter` (default 10 per unknown).
+def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None,
+                    rtol: float = CG_RTOL):
+    """x (flat) solving a x = rhs to a residual `rtol` relative to rhs, by CG preconditioned
+    with the inverted diagonal blocks, or None if CG gives no finite x within `maxiter`
+    (default 10 per unknown). IRLS keeps CG_RTOL; the ACD Newton step passes a looser one.
 
     A vector `diag` means scalar blocks: `a` (m x m) then acts on each of the 3
     columns of rhs, the system a kron I3. Raises np.linalg.LinAlgError, before
@@ -219,7 +221,7 @@ def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = 
             raise np.linalg.LinAlgError("non-finite diagonal block")
         op = a
         precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=shape)
-    x, info = spla.cg(op, rhs.ravel(), rtol=CG_RTOL, M=precond, maxiter=maxiter)
+    x, info = spla.cg(op, rhs.ravel(), rtol=rtol, M=precond, maxiter=maxiter)
     return x if info == 0 and np.isfinite(x).all() else None
 
 

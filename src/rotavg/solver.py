@@ -3,10 +3,11 @@
 Each coordinate update replaces one camera's rotation with the SO(3)
 projection of the gathered neighbor term, which solves that camera's
 subproblem globally; sweeps visit cameras in a fresh seeded shuffle.
-Sweeps converge linearly; once their rate predicts many more, `acd_solve`
-polishes with Newton steps on the same objective (Absil, Mahony & Sepulchre,
-"Optimization Algorithms on Matrix Manifolds", 2008), falling back to sweeps
-when a step fails. `max_sweeps` counts iterations, sweeps and Newton steps alike.
+Sweeps converge linearly, so after the first sweep from a fully assigned stack
+`acd_solve` polishes with inexact Newton steps on the same objective (Absil,
+Mahony & Sepulchre, 2008; CG only to NEWTON_CG_RTOL, after Dembo, Eisenstat &
+Steihaug, 1982), falling back to sweeps when a step fails. `max_sweeps`
+counts iterations, sweeps and Newton steps alike.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .viewgraph import ConnectionBlocks, check_count
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_OBJECTIVE_TOL = 1e-12
 DEFAULT_STEP_TOL_DEG = 1e-7
-# Newton steps start once the sweeps' rate predicts more sweeps than this, about
-# what a Newton phase costs (3-4 steps of 2-3.5 sweeps each); a step may take at
-# most NEWTON_CG_MAXITER CG iterations.
-NEWTON_AFTER_SWEEPS = 10
+# A Newton step's CG stops at this residual relative to the gradient, or fails
+# after NEWTON_CG_MAXITER iterations.
+NEWTON_CG_RTOL = 1e-4
 NEWTON_CG_MAXITER = 200
 
 
@@ -132,16 +132,11 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
 def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> np.ndarray | None:
     """[R_k exp(x_k)] for the Newton step x, or None if CG gives no step."""
     try:
-        x = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER)
+        x = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
+                            rtol=NEWTON_CG_RTOL)
     except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
         return None
     return None if x is None else np.concatenate([r[:1], r[1:] @ so3.exp_so3(x.reshape(-1, 3))])
-
-
-def _sweeps_left(s0: float, s2: float, step_tol: float) -> float:
-    """Sweeps from step s2 to step_tol at the rate sqrt(s2 / s0) of three sweep
-    steps s0, s1, s2 (the geometric mean of their two ratios); 0 unless it shrinks."""
-    return math.log(s2 / step_tol) / (0.5 * math.log(s0 / s2)) if s0 > s2 > step_tol else 0.0
 
 
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:
@@ -156,17 +151,17 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     after it: the largest geodesic angle between a camera's old and new rotation,
     in degrees, or 180 if any camera was unassigned when the sweep began.
 
-    Newton polish: once the rate of the last three sweeps' steps predicts more
-    than NEWTON_AFTER_SWEEPS further sweeps to the step tolerance, iterations
-    are Newton steps on x -> objective([R_k exp(x_k)]), camera 0 pinned
-    (`newton_system`, solved by `robust.block_jacobi_cg`). Each is one
-    iteration of the traces and of `max_sweeps`; `newton_trace` marks it. A
-    step is rejected if a diagonal block is not finite and invertible, CG does
-    not converge within NEWTON_CG_MAXITER iterations, or the objective rises
-    by more than objective_tol (relative); that iteration is a sweep. After a
-    rejection, or a kept step that did not lower the objective (the rounding
-    floor), sweeps run until their step falls 10x below that iteration's
-    step and the rate rule holds again. A disconnected graph takes no
+    Newton polish: after the first sweep that ran from a fully assigned stack
+    (the first sweep, or the second from a zero start), iterations are Newton
+    steps on x -> objective([R_k exp(x_k)]), camera 0 pinned (`newton_system`,
+    solved by `robust.block_jacobi_cg` to a relative residual of
+    NEWTON_CG_RTOL). Each is one iteration of the traces and of `max_sweeps`;
+    `newton_trace` marks it. A step is rejected if a diagonal block is not
+    finite and invertible, CG does not converge within NEWTON_CG_MAXITER
+    iterations, or the objective rises by more than objective_tol (relative);
+    that iteration is a sweep. After a rejection, or a kept step that did not
+    lower the objective (the rounding floor), sweeps run until their step
+    falls 10x below that iteration's step. A disconnected graph takes no
     Newton step.
 
     Zero-start handling: a block equal to zero is unassigned. An unassigned
@@ -194,9 +189,9 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     # A zero block is unassigned; every block is a rotation after the first sweep.
     unassigned = not np.any(r, axis=(1, 2)).all()
     seeded = bool(r.any())
-    # Newton: the pattern (False if disconnected), whether the next iteration is a
-    # Newton step, the first step a sweep rate may read, and the retry threshold.
-    pattern, newton, rate_from, retry_below = None, False, int(unassigned), math.inf
+    # Newton: the pattern (False if disconnected), whether the next iteration is a Newton
+    # step, and the sweep step below which one is tried (the zero-start sweep's is 180).
+    pattern, newton, retry_below = None, False, 180.0
 
     for it in range(cfg.max_sweeps):
         r_prev, tried = r.copy(), newton
@@ -252,9 +247,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             result.status = "converged"
             break
         if tried and not (newton and fell):  # rejected, or flat: back to sweeps
-            newton, rate_from, retry_below = False, it + 1, max_step / 10.0
-        elif (not newton and it - rate_from >= 2 and max_step < retry_below
-                and _sweeps_left(step_trace[-3], max_step, cfg.step_tol_deg) > NEWTON_AFTER_SWEEPS):
+            newton, retry_below = False, max_step / 10.0
+        elif not newton and max_step < retry_below:
             if pattern is None:
                 pattern = nb.is_connected() and _NormalPattern(nb)
             newton = bool(pattern)
@@ -298,10 +292,12 @@ def bcd_oracle_update(nb_iso: ConnectionBlocks, r: np.ndarray, k: int) -> np.nda
 
 
 def write_trace_csv(result: SolveResult, path) -> None:
-    """CSV: sweep,objective,max_step_deg — one row per iteration (sweep or Newton step)."""
+    """CSV: sweep,objective,max_step_deg,newton — one row per iteration, newton 1
+    for a Newton step and 0 for a sweep."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("sweep,objective,max_step_deg\n")
-        for s, (obj, step) in enumerate(
-            zip(result.objective_trace, result.max_step_trace), start=1
+        f.write("sweep,objective,max_step_deg,newton\n")
+        for s, (obj, step, newton) in enumerate(
+            zip(result.objective_trace, result.max_step_trace, result.newton_trace, strict=True),
+            start=1,
         ):
-            f.write(f"{s},{obj:.17g},{step:.17g}\n")
+            f.write(f"{s},{obj:.17g},{step:.17g},{int(newton)}\n")

@@ -158,7 +158,7 @@ class TestSolveEval:
         rtrace = tmp_path / "r.csv"
         assert run(["solve", "--in", vg, "--robust", "irls", "--out", est,
                     "--trace", trace, "--robust-trace", rtrace]) == 0
-        assert trace.read_text().splitlines()[0] == "sweep,objective,max_step_deg"
+        assert trace.read_text().splitlines()[0] == "sweep,objective,max_step_deg,newton"
         assert rtrace.read_text().splitlines()[0] == "iter,robust_cost,max_step_deg,halvings"
 
     def test_robust_irls_equals_solve_then_refine_default(self, noiseless_loop, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the coordinate-descent solver, its oracle, and initializations."""
 
+import re
 import warnings
 
 import numpy as np
@@ -182,32 +183,42 @@ class TestCoordinateUpdate:
 class TestAcdSolve:
     def test_one_svd_per_camera_per_sweep(self, monkeypatch):
         """One SVD per camera per sweep and none per Newton step; the result
-        says which iterations were Newton steps."""
+        says which iterations were Newton steps. A rejected Newton attempt
+        evaluates its iterate, takes no SVD and leaves its iteration to a sweep."""
         sc = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=2))
         nb = assemble_blocks(sc.graph, "aniso")
         full = acd_solve(nb, SolverConfig(), make_init("identity", 30))
         # Stop after the last Newton step, before any later rejected attempt.
         last_newton = max(k for k, newton in enumerate(full.newton_trace) if newton)
-        svd_calls, at_objective = [], []
-        real_dgesdd, real_objective = so3.dgesdd, solver.objective
+        events = []  # "s" per SVD, "N" per Newton attempt, "o" per objective
+        real_dgesdd, real_objective, real_newton = so3.dgesdd, solver.objective, solver._newton_iterate
 
         def counting_dgesdd(m):
-            svd_calls.append(1)
+            events.append("s")
             return real_dgesdd(m)
 
         def marking_objective(nb, r):
-            at_objective.append(len(svd_calls))
+            events.append("o")
             return real_objective(nb, r)
+
+        def marking_newton(nb, pattern, r):
+            events.append("N")
+            return real_newton(nb, pattern, r)
 
         monkeypatch.setattr(so3, "dgesdd", counting_dgesdd)
         monkeypatch.setattr(solver, "objective", marking_objective)
+        monkeypatch.setattr(solver, "_newton_iterate", marking_newton)
         res = acd_solve(nb, SolverConfig(max_sweeps=last_newton + 1), make_init("identity", 30))
         assert res.sweeps_run == last_newton + 1
         assert res.newton_trace == full.newton_trace[: last_newton + 1]
         assert 0 < sum(res.newton_trace) < res.sweeps_run
-        # One objective before the first iteration and one after each.
-        sweeps = np.cumsum([not newton for newton in res.newton_trace])
-        assert at_objective == [0] + [30 * int(s) for s in sweeps]
+        # One objective before the first iteration; per iteration, a kept Newton
+        # step is an attempt and its objective, and a sweep is 30 SVDs and an
+        # objective, after a rejected attempt and its objective if one was made.
+        sweep = "(?:No)?" + "s" * 30 + "o"
+        assert re.fullmatch("o" + "".join("No" if nt else sweep for nt in res.newton_trace),
+                            "".join(events))
+        assert events.count("N") > sum(res.newton_trace)  # this scene rejects an attempt
 
     @pytest.mark.parametrize("init", ["zeros", "identity"])
     def test_nan_block_raises(self, init):
@@ -371,12 +382,13 @@ class TestAcdSolve:
             max_step_trace=[10.0, 0.5],
             sweeps_run=2,
             status="converged",
+            newton_trace=[False, True],
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(res, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sweep,objective,max_step_deg"
-        assert len(lines) == 3
+        assert lines[0] == "sweep,objective,max_step_deg,newton"
+        assert lines[1:] == ["1,-1,10,0", "2,-2,0.5,1"]
 
 
 def sweeps_only(nb, init, seed, sweeps):
@@ -440,11 +452,41 @@ class TestNewtonPolish:
         nb = assemble_blocks(sc.graph, "aniso")
         res = acd_solve(nb, SolverConfig(), make_init("zeros", 60))
         assert res.status == "converged" and sum(res.newton_trace) >= 2
+        assert res.newton_trace[:3] == [False, False, True]  # Newton after the first assigned sweep
         assert all(so3.is_rotation(r) for r in res.rotations)
         final = res.objective_trace[-1]
         assert np.all(np.diff(res.objective_trace) <= 1e-12 * abs(final))  # objective_tol
         more = objective(nb, sweeps_only(nb, res.rotations, 0, 200))
         assert abs(more - final) <= 1e-13 * abs(final)
+
+    @pytest.mark.parametrize("n, p, seed, mode", [(60, 0.2, 5, "aniso"), (120, 0.1, 11, "aniso"),
+                                                  (200, 0.05, 3, "aniso"), (150, 0.1, 7, "iso")])
+    def test_exact_newton_step_certifies_convergence(self, n, p, seed, mode):
+        """Newton CG stops at NEWTON_CG_RTOL, yet at the rotations of a converged
+        solve an exact (CG_RTOL) Newton step moves no camera by step_tol_deg."""
+        nb = assemble_blocks(generate_scene(SceneSpec(kind="general", n=n, p=p, seed=seed)).graph, mode)
+        cfg = SolverConfig(mode=mode)
+        res = acd_solve(nb, cfg, make_init("zeros", n))
+        assert res.status == "converged" and any(res.newton_trace)
+        x = robust.block_jacobi_cg(*solver.newton_system(nb, robust._NormalPattern(nb), res.rotations))
+        assert np.degrees(np.linalg.norm(x.reshape(-1, 3), axis=1).max()) < cfg.step_tol_deg
+
+    def test_newton_cg_is_inexact_and_irls_cg_exact(self, monkeypatch):
+        """Every CG of a Newton step stops at NEWTON_CG_RTOL; IRLS keeps CG_RTOL."""
+        rtols, real_cg = [], robust.spla.cg
+
+        def recording_cg(*args, rtol, **kwargs):
+            rtols.append(rtol)
+            return real_cg(*args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(robust.spla, "cg", recording_cg)
+        g = generate_scene(SceneSpec(kind="general", n=60, p=0.2, seed=5)).graph
+        res = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init("zeros", 60))
+        assert any(res.newton_trace) and set(rtols) == {solver.NEWTON_CG_RTOL}
+        for mode in ("iso", "aniso"):
+            rtols.clear()
+            robust.robust_refine(g, res.rotations, robust.RobustConfig(mode=mode))
+            assert rtols and set(rtols) == {robust.CG_RTOL}
 
     @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex", "cg_fails", "cg_capped"])
     def test_no_newton_step_keeps_the_sweeps(self, case, monkeypatch):
