@@ -151,7 +151,7 @@ class _NormalPattern:
         # Block (row, col) per slot: the diagonal, then (i, j) and (j, i) per free edge.
         rows = np.concatenate([np.arange(m), a, b])
         cols = np.concatenate([np.arange(m), b, a])
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows.astype(np.int64) * m + cols)  # keys are unique
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
         self.m, self.diag_slot = m, slot[:m]
@@ -175,7 +175,7 @@ class _NormalPattern:
         at (i, j) and `lower[e]` at (j, i); BSR, or m x m CSR for scalar blocks."""
         data = np.empty((len(self.indices) + 1,) + diag.shape[1:])
         data[self.diag_slot] = diag
-        data[self.upper_slot] = upper
+        data[self.upper_slot] = np.ascontiguousarray(upper)  # scatters faster than a strided view
         data[self.lower_slot] = lower
         fmt, size = (sp.csr_matrix, self.m) if diag.ndim == 1 else (sp.bsr_matrix, 3 * self.m)
         return fmt((data[:-1], self.indices, self.indptr), shape=(size, size))

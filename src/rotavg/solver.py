@@ -119,7 +119,8 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
     b = np.empty_like(nb.lower)
     for start in range(0, len(b), 4096):  # in blocks: no edge-sized temporaries
         e = slice(start, start + 4096)
-        np.matmul(np.swapaxes(nb.lower[e] @ r[nb.i_idx[e]], 1, 2), r[nb.j_idx[e]], out=b[e])
+        ri, rj = r.take(nb.i_idx[e], axis=0), r.take(nb.j_idx[e], axis=0)
+        np.matmul(np.swapaxes(nb.lower[e] @ ri, 1, 2), rj, out=b[e])
     diagonal = np.arange(3)
     b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
     diag = (pattern.cover @ b.reshape(-1, 9)).reshape(-1, 3, 3)
@@ -185,10 +186,10 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
 
     result = SolveResult(rotations=r, objective_trace=[])
     step_trace = result.max_step_trace
-    prev_obj = objective(nb, r)
     # A zero block is unassigned; every block is a rotation after the first sweep.
     unassigned = not np.any(r, axis=(1, 2)).all()
     seeded = bool(r.any())
+    prev_obj = objective(nb, r) if seeded else -0.0  # the objective of an all-zero stack
     # Newton: the pattern (False if disconnected), whether the next iteration is a Newton
     # step, and the sweep step below which one is tried (the zero-start sweep's is 180).
     pattern, newton, retry_below = None, False, 180.0

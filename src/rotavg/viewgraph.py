@@ -279,7 +279,8 @@ def anisotropic_weight(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3x3 Hessian, got {h.shape}")
-    if np.any(np.linalg.norm(h - np.swapaxes(h, -1, -2), axis=(-2, -1)) > SYMMETRY_TOL):
+    skew = h - np.swapaxes(h, -1, -2)  # the rule of _check_edges: |skew|_F <= SYMMETRY_TOL
+    if np.any(np.einsum("...ab,...ab->...", skew, skew) > SYMMETRY_TOL**2):
         raise ValueError("Hessian not symmetric within tolerance")
     return 0.5 * np.trace(h, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - h
 
@@ -324,25 +325,37 @@ class ConnectionBlocks(_Connectivity):
         return len(self.i_idx)
 
     def neighbor_tables(self):
-        """Per-vertex gathered coefficients for the coordinate update.
+        """Per-vertex gathered coefficients for the coordinate update, cached.
 
-        Returns (indices, coeffs) where coeffs[k] is a (3, 3*deg) matrix such
-        that the update target for vertex k is coeffs[k] @ vstack(R[indices[k]]).
-        Cached after the first call.
+        Returns (indices, coeffs): per vertex k, its neighbors m and the (3, 3*deg) matrix
+        of the blocks N_{m,k}^T side by side, in edge order, so that k's update target is
+        coeffs[k] @ vstack(R[indices[k]]). coeffs[k] is C-contiguous, or F-contiguous if k
+        is the j end of no edge (np.hstack's layout); the product's BLAS rounding follows it.
         """
         if self._tables is not None:
             return self._tables
+        n, num = self.n, self.num_edges
         # G_k = sum_m N_{m,k}^T R_m: N_{j,i}^T at vertex i, N_{i,j}^T = N_{j,i} at vertex j.
         vert = np.concatenate([self.i_idx, self.j_idx])
-        edge = np.concatenate([np.arange(self.num_edges)] * 2)
-        order = np.lexsort((edge, vert))  # per vertex, in edge order
-        mats = np.concatenate([np.swapaxes(self.lower, 1, 2), self.lower])[order]
-        cuts = np.cumsum(np.bincount(vert, minlength=self.n))[:-1]
-        indices = np.split(np.concatenate([self.j_idx, self.i_idx])[order], cuts)
-        # (3, 3*deg) in np.hstack's layout, Fortran if all are N_{j,i}^T: BLAS rounding follows it.
-        fortran = np.bincount(self.j_idx, minlength=self.n) == 0
-        coeffs = [np.asarray(m.transpose(1, 0, 2).reshape(3, -1), order="F" if f else "C")
-                  for m, f in zip(np.split(mats, cuts), fortran.tolist())]
+        order = np.argsort(vert * num + np.concatenate([np.arange(num)] * 2))  # unique keys
+        nbrs = np.concatenate([self.j_idx, self.i_idx])
+        rows = np.concatenate([np.swapaxes(self.lower, 1, 2), self.lower]).reshape(-1, 3)
+        deg = np.bincount(vert, minlength=n)
+        start = np.cumsum(deg) - deg
+        fortran = np.bincount(self.j_idx, minlength=n) == 0
+        # One gather per degree and layout; `at` holds each vertex's entries in edge order.
+        group_key = 2 * deg + fortran
+        by_key = np.argsort(group_key, kind="stable")
+        indices, coeffs = [None] * n, [None] * n
+        for vs in np.split(by_key, np.flatnonzero(np.diff(group_key[by_key])) + 1) if n else []:
+            at = order[start[vs][:, None] + np.arange(deg[vs[0]])]
+            if fortran[vs[0]]:  # every block is N_{j,k}^T: F order holds the lower blocks
+                group = [c.T for c in self.lower.take(at, axis=0).reshape(len(vs), -1, 3)]
+            else:  # row a of coeffs[k] is row a of each block
+                group = rows.take(3 * at[:, None] + np.arange(3)[:, None], axis=0)
+                group = group.reshape(len(vs), 3, -1)
+            for k, nbr, c in zip(vs.tolist(), nbrs[at], group):
+                indices[k], coeffs[k] = nbr, c
         self._tables = (indices, coeffs)
         return self._tables
 

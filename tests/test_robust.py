@@ -301,6 +301,37 @@ class TestNormalEquations:
         assert np.all(np.isfinite(delta))
 
 
+def lexsort_pattern(g):
+    """(indices, indptr, diag_slot, upper_slot, lower_slot) of the free-camera block
+    pattern, slots ordered by np.lexsort on (row, column)."""
+    m = g.n - 1
+    fi, fj = g.i_idx - 1, g.j_idx - 1
+    free = np.flatnonzero(fi >= 0)
+    rows = np.concatenate([np.arange(m), fi[free], fj[free]])
+    cols = np.concatenate([np.arange(m), fj[free], fi[free]])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    upper, lower = np.full((2, len(fj)), len(order))
+    upper[free], lower[free] = slot[m:m + len(free)], slot[m + len(free):]
+    indptr = np.searchsorted(rows[order], np.arange(m + 1))
+    return cols[order], indptr, slot[:m], upper, lower
+
+
+class TestNormalPattern:
+    @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (30, 0.2, 1), (60, 0.1, 2), (120, 0.05, 3)])
+    def test_slots_match_lexsort_reference(self, n, p, seed):
+        g = generate_scene(SceneSpec(kind="general", n=n, p=p, seed=seed)).graph
+        assert (g.i_idx == 0).any()  # edges at the pinned camera write to the spare slot
+        pattern = robust._NormalPattern(g)
+        want = lexsort_pattern(g)
+        got = (pattern.indices, pattern.indptr, pattern.diag_slot, pattern.upper_slot,
+               pattern.lower_slot)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert (pattern.upper_slot[g.i_idx == 0] == len(pattern.indices)).all()
+
+
 class TestRobustRefine:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tau_deg"):

@@ -220,6 +220,24 @@ class TestAcdSolve:
                             "".join(events))
         assert events.count("N") > sum(res.newton_trace)  # this scene rejects an attempt
 
+    def test_zero_start_evaluates_no_objective_before_the_first_sweep(self, monkeypatch):
+        """From zeros the objective runs once per iteration and once per rejected Newton
+        attempt; the all-zero start is not evaluated."""
+        sc = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=2))
+        nb = assemble_blocks(sc.graph, "aniso")
+        events = []  # "s" per SVD, "N" per Newton attempt, "o" per objective
+        real_dgesdd, real_objective, real_newton = so3.dgesdd, solver.objective, solver._newton_iterate
+        monkeypatch.setattr(so3, "dgesdd", lambda m: events.append("s") or real_dgesdd(m))
+        monkeypatch.setattr(solver, "objective", lambda nb, r: events.append("o") or real_objective(nb, r))
+        monkeypatch.setattr(solver, "_newton_iterate",
+                            lambda nb, pattern, r: events.append("N") or real_newton(nb, pattern, r))
+        res = acd_solve(nb, SolverConfig(), make_init("zeros", 30))
+        assert res.status == "converged" and any(res.newton_trace)
+        # Per iteration: a kept Newton step is an attempt and its objective; a sweep is
+        # SVDs and an objective, after a rejected attempt and its objective if one was made.
+        assert re.fullmatch("".join("No" if nt else "(?:No)?s+o" for nt in res.newton_trace),
+                            "".join(events))
+
     @pytest.mark.parametrize("init", ["zeros", "identity"])
     def test_nan_block_raises(self, init):
         with pytest.raises(np.linalg.LinAlgError):

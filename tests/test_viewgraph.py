@@ -367,6 +367,25 @@ class TestAnisotropicWeight:
         with pytest.raises(ValueError, match="symmetric"):
             anisotropic_weight(hs)
 
+    @pytest.mark.parametrize("check", ["single", "stack", "edge"])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_symmetry_bound_is_the_skew_norm(self, check, factor):
+        """A skew part of Frobenius norm `factor` * SYMMETRY_TOL fails only above the
+        bound, in anisotropic_weight (one matrix or a stack) and in the edge validator."""
+        t = factor * SYMMETRY_TOL / (2.0 * np.sqrt(2.0))  # |h - h^T|_F = 2 * sqrt(2) * t
+        h = 2.0 * np.eye(3)
+        h[0, 1], h[1, 0] = t, -t
+        call = {
+            "single": lambda: anisotropic_weight(h),
+            "stack": lambda: anisotropic_weight(np.stack([np.eye(3), h, np.eye(3)])),
+            "edge": lambda: EdgeMeasurement(0, 1, np.eye(3), h),
+        }[check]
+        if factor > 1:
+            with pytest.raises(ValueError, match="symmetric"):
+                call()
+        else:
+            call()
+
 
 def reference_clamp_psd(h):
     """clamp_psd by one eigendecomposition of the whole stack."""
@@ -584,6 +603,76 @@ class TestAssembleBlocks:
         g = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3))])
         with pytest.raises(ValueError, match="mode"):
             assemble_blocks(g, "blended")
+
+
+def reference_tables(nb):
+    """Per vertex, its neighbors and np.hstack of its blocks N_{m,k}^T, in edge order."""
+    indices, coeffs = [], []
+    for k in range(nb.n):
+        at_i, at_j = nb.i_idx == k, nb.j_idx == k
+        edges = np.flatnonzero(at_i | at_j)
+        indices.append(np.where(at_i, nb.j_idx, nb.i_idx)[edges])
+        blocks = [nb.lower[e].T if at_i[e] else nb.lower[e] for e in edges]
+        coeffs.append(np.hstack(blocks) if blocks else np.zeros((3, 0)))
+    return indices, coeffs
+
+
+class TestNeighborTables:
+    """Values, dtypes and memory layout of ConnectionBlocks.neighbor_tables against
+    a per-vertex np.hstack: the layout sets the BLAS rounding of the coordinate update."""
+
+    CASES = {
+        # 0 and 2 are the j end of no edge (F layout), 3 and 4 the j end of all their
+        # edges, 1 of some; 5 is isolated.
+        "small": (6, [(0, 1), (0, 3), (1, 3), (2, 3), (1, 4)]),
+        "no_edges": (4, []),
+        "one_camera": (1, []),
+        "no_cameras": (0, []),
+        "star_at_camera_0": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    }
+
+    def check(self, nb):
+        indices, coeffs = nb.neighbor_tables()
+        want_indices, want_coeffs = reference_tables(nb)
+        assert len(indices) == len(coeffs) == nb.n
+        rng = np.random.default_rng(0)
+        for k in range(nb.n):
+            assert indices[k].dtype == np.intp
+            np.testing.assert_array_equal(indices[k], want_indices[k])
+            got, want = coeffs[k], want_coeffs[k]
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+                want.flags.c_contiguous, want.flags.f_contiguous)
+            x = rng.standard_normal((got.shape[1], 3))
+            np.testing.assert_array_equal(got.dot(x), want.dot(x))
+        return coeffs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_hstack_reference(self, case):
+        n, pairs = self.CASES[case]
+        ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        lower = np.random.default_rng(1).standard_normal((len(ij), 3, 3))
+        coeffs = self.check(ConnectionBlocks(n, ij[:, 0], ij[:, 1], lower))
+        if case == "small":
+            assert coeffs[0].flags.f_contiguous and coeffs[2].flags.f_contiguous
+            assert not coeffs[3].flags.f_contiguous and not coeffs[4].flags.f_contiguous
+            assert coeffs[5].shape == (3, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_graphs_match_hstack_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]  # edges in no sorted order
+        ij = np.array(pairs, dtype=np.intp)
+        nb = ConnectionBlocks(n, ij[:, 0], ij[:, 1], rng.standard_normal((len(ij), 3, 3)))
+        layouts = {c.flags.f_contiguous for c in self.check(nb)}
+        assert layouts == {True, False}
+
+    def test_assembled_scene_matches_hstack_reference(self):
+        sc = generate_scene(SceneSpec(kind="general", n=80, p=0.1, seed=3))
+        self.check(assemble_blocks(sc.graph, "aniso"))
 
 
 class TestSpanningTree:
