@@ -16,7 +16,7 @@ from . import __version__, metrics, synth
 from .robust import DEFAULT_TAU_DEG, RobustConfig, write_robust_trace_csv
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_OBJECTIVE_TOL, DEFAULT_STEP_TOL_DEG,
                      SolverConfig, write_trace_csv)
-from .pipeline import run_per_component, run_pipeline
+from .pipeline import run_pipeline
 from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
 
 
@@ -77,7 +77,7 @@ def cmd_solve(args) -> int:
     if len(sizes) > 1 and not args.per_component:
         raise ValueError(
             f"graph is disconnected (component sizes {sizes}); "
-            "pass --per-component to solve components independently"
+            "pass --per-component to solve each component in its own gauge"
         )
 
     cfg = SolverConfig(
@@ -89,14 +89,6 @@ def cmd_solve(args) -> int:
         mode=args.mode,
     )
     robust_cfg = RobustConfig(tau_deg=args.tau_deg)
-
-    if len(sizes) > 1:
-        rotations = run_per_component(graph, cfg, args.robust, robust_cfg)
-        t0 = time.perf_counter()
-        save_rotations(rotations, args.out)
-        _write_manifest(args, {"load": load_ms, "save": _ms_since(t0)})
-        print(f"solved {graph.n} cameras per-component")
-        return 0
 
     result = run_pipeline(graph, cfg, args.robust, robust_cfg)
     t0 = time.perf_counter()
@@ -172,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--obj-tol", type=float, default=DEFAULT_OBJECTIVE_TOL)
     p_solve.add_argument("--step-tol", type=float, default=DEFAULT_STEP_TOL_DEG)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--per-component", action="store_true")
+    p_solve.add_argument("--per-component", action="store_true",
+                         help="allow a disconnected graph; each component gets its own gauge")
     p_solve.add_argument("--out", required=True, help="rotation output path")
     p_solve.add_argument("--trace", default=None, help="objective trace CSV")
     p_solve.add_argument("--robust-trace", default=None, help="robust trace CSV")

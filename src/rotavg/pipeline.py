@@ -54,22 +54,3 @@ def run_pipeline(
 
     return PipelineResult(rotations, solve, refine, timings)
 
-
-def run_per_component(
-    graph: ViewGraph,
-    cfg: SolverConfig,
-    robust_kind: str = "none",
-    robust_cfg: RobustConfig | None = None,
-) -> np.ndarray:
-    """Solve each connected component independently (gauge is per component)."""
-    rotations = np.tile(np.eye(3), (graph.n, 1, 1))
-    for comp in graph.components():
-        remap = np.full(graph.n, -1)
-        remap[comp] = np.arange(len(comp))
-        keep = remap[graph.i_idx] >= 0  # an edge lies in one component
-        sub = ViewGraph.from_arrays(
-            len(comp), remap[graph.i_idx[keep]], remap[graph.j_idx[keep]], graph.rel[keep],
-            graph.hess[keep], graph.has_hessian[keep],
-        )
-        rotations[comp] = run_pipeline(sub, cfg, robust_kind, robust_cfg).rotations
-    return rotations

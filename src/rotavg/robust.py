@@ -4,8 +4,8 @@ The refinement linearizes the edge residuals in the tangent space
 (right-multiplicative increments R_i <- R_i exp(delta_i)), whitens with the
 Cholesky factor of the edge Hessian in the anisotropic mode, weighs each edge
 with a Geman-McClure majorizer, and solves sparse block normal equations with
-camera 0 pinned for gauge. Steps are halved on cost increase so the robust
-cost trace is non-increasing.
+the smallest camera of each connected component pinned for gauge. Steps are
+halved on cost increase so the robust cost trace is non-increasing.
 
 Every per-edge and per-camera quantity is computed as array code: residuals
 and the retraction use the stacked SO(3) maps, the Hessians are clamped and
@@ -130,22 +130,25 @@ class _EdgeModel:
 
 
 class _NormalPattern:
-    """Block structure of one connected graph's free-camera normal equations.
+    """Block structure of one graph's free-camera normal equations.
 
-    The system has one 3x3 block per free camera on the diagonal and one
-    per direction of each edge between free cameras. The structure depends
-    only on `g.n`, `g.i_idx` and `g.j_idx`, so a refinement (from a
-    `ViewGraph`) or an ACD solve (from `ConnectionBlocks`) builds it once;
-    each system only writes new values into the fixed slots of a BSR matrix
-    (a CSR matrix with one scalar per slot in iso mode).
+    The smallest camera of each connected component is pinned (`free` is
+    False there), which fixes each component's gauge; on a connected graph
+    that is camera 0. The system has one 3x3 block per free camera on the
+    diagonal and one per direction of each edge between free cameras. The
+    structure depends only on `g.n`, `g.i_idx` and `g.j_idx`, so a
+    refinement (from a `ViewGraph`) or an ACD solve (from `ConnectionBlocks`)
+    builds it once; each system only writes new values into the fixed slots
+    of a BSR matrix (a CSR matrix with one scalar per slot in iso mode).
     """
 
     def __init__(self, g):
-        if not g.is_connected():
-            raise _singular(g)
-        self.graph = g  # the component sizes of a singular-system error
-        m = g.n - 1  # free cameras 1..n-1
-        fi, fj = g.i_idx - 1, g.j_idx - 1  # fj >= 0 since j > i >= 0
+        self.free = np.ones(g.n, dtype=bool)
+        self.free[g.smallest_cameras()] = False
+        m = int(self.free.sum())
+        index = np.where(self.free, np.cumsum(self.free) - 1, -1)
+        # fj >= 0: j > i in the same component, so j is never its smallest camera.
+        fi, fj = index[g.i_idx], index[g.j_idx]
         free = np.flatnonzero(fi >= 0)
         a, b = fi[free], fj[free]
         # Block (row, col) per slot: the diagonal, then (i, j) and (j, i) per free edge.
@@ -155,7 +158,7 @@ class _NormalPattern:
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
         self.m, self.diag_slot = m, slot[:m]
-        # Slots of each edge's (i, j) and (j, i) blocks; an edge at camera 0 has none
+        # Slots of each edge's (i, j) and (j, i) blocks; an edge at a pinned camera has none
         # and writes both to a spare slot past the end, so no edge subset is copied.
         self.upper_slot, self.lower_slot = np.full((2, len(fj)), len(order))
         self.upper_slot[free], self.lower_slot[free] = slot[m:m + len(a)], slot[m + len(a):]
@@ -233,8 +236,9 @@ def solve_normal_equations(
 ) -> np.ndarray:
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
-    `precisions` holds D_e^T D_e per edge. Camera 0 is pinned (delta_0 = 0);
-    the returned (n, 3) step includes the pinned zero row. Each call fills
+    `precisions` holds D_e^T D_e per edge. The smallest camera of each
+    component is pinned (its delta is 0); the returned (n, 3) step includes
+    the pinned zero rows. Each call fills
     the blocks -w_e P_e and the diagonal sums into `pattern` and solves by
     `block_jacobi_cg`, with a direct sparse solve as fallback. No precisions
     means the identity on every edge (iso): the system is then the weighted
@@ -245,26 +249,18 @@ def solve_normal_equations(
             no weight, or whose weights are not finite).
     """
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
-    g = pattern.graph
+    singular = "singular normal equations (a camera whose edges carry no finite, nonzero weight)"
     try:
         delta_free = block_jacobi_cg(a, rhs, diag)
     except np.linalg.LinAlgError:
-        raise _singular(g) from None
+        raise ValueError(singular) from None
     if delta_free is None:
         delta_free = spla.spsolve(a.tocsc(), rhs)
     if not np.all(np.isfinite(delta_free)):
-        raise _singular(g)
-    delta = np.zeros((g.n, 3))
-    delta[1:] = delta_free.reshape(pattern.m, 3)
+        raise ValueError(singular)
+    delta = np.zeros((len(pattern.free), 3))
+    delta[pattern.free] = delta_free.reshape(pattern.m, 3)
     return delta
-
-
-def _singular(g) -> ValueError:
-    sizes = [len(c) for c in g.components()]
-    return ValueError(
-        f"singular normal equations (graph effectively disconnected, "
-        f"component sizes {sizes})"
-    )
 
 
 def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResult:
@@ -283,7 +279,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (g.n, 3, 3):
         raise ValueError(f"initial stack shape {r0.shape} does not match n={g.n}")
-    pattern = _NormalPattern(g)  # raises on a disconnected graph
+    pattern = _NormalPattern(g)
     model = _EdgeModel(g, cfg.mode)
     tau = np.radians(cfg.tau_deg)
     r = r0.copy()
@@ -312,7 +308,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
             result.halving_trace.append(MAX_HALVINGS)
             break
 
-        max_step = float(np.degrees(np.max(np.linalg.norm(delta, axis=1))))
+        max_step = float(np.degrees(np.max(np.linalg.norm(delta, axis=1), initial=0.0)))
         r, omegas, norms, cost = r_new, omegas_new, norms_new, cost_new
         result.cost_trace.append(cost)
         result.max_step_trace.append(max_step)

@@ -110,7 +110,8 @@ def _gather_project(indices, coeffs, r, k) -> np.ndarray | None:
 
 def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
     """(Hessian, -gradient, diagonal blocks) of x -> objective(nb, [R_k exp(x_k)]) at
-    x = 0 over cameras 1..n-1, in `pattern`'s slots (camera 0 is pinned).
+    x = 0 over the free cameras, in `pattern`'s slots (the smallest camera of each
+    component is pinned).
 
     Per edge, with B = R_i^T N_ji^T R_j - tr(.) I and a = (B23 - B32, B31 - B13,
     B12 - B21), the gradient gains 2a at i and -2a at j, and the Hessian gains
@@ -131,13 +132,18 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
 
 
 def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> np.ndarray | None:
-    """[R_k exp(x_k)] for the Newton step x, or None if CG gives no step."""
+    """[R_k exp(x_k)] for the Newton step x (x_k = 0 at the pinned cameras), or None
+    if CG gives no step."""
     try:
         x = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
                             rtol=NEWTON_CG_RTOL)
     except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
         return None
-    return None if x is None else np.concatenate([r[:1], r[1:] @ so3.exp_so3(x.reshape(-1, 3))])
+    if x is None:
+        return None
+    r_new = r.copy()
+    r_new[pattern.free] = r[pattern.free] @ so3.exp_so3(x.reshape(-1, 3))
+    return r_new
 
 
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:
@@ -154,16 +160,17 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
 
     Newton polish: after the first sweep that ran from a fully assigned stack
     (the first sweep, or the second from a zero start), iterations are Newton
-    steps on x -> objective([R_k exp(x_k)]), camera 0 pinned (`newton_system`,
-    solved by `robust.block_jacobi_cg` to a relative residual of
-    NEWTON_CG_RTOL). Each is one iteration of the traces and of `max_sweeps`;
-    `newton_trace` marks it. A step is rejected if a diagonal block is not
-    finite and invertible, CG does not converge within NEWTON_CG_MAXITER
-    iterations, or the objective rises by more than objective_tol (relative);
-    that iteration is a sweep. After a rejection, or a kept step that did not
-    lower the objective (the rounding floor), sweeps run until their step
-    falls 10x below that iteration's step. A disconnected graph takes no
-    Newton step.
+    steps on x -> objective([R_k exp(x_k)]), the smallest camera of each
+    component pinned (`newton_system`, solved by `robust.block_jacobi_cg` to a
+    relative residual of NEWTON_CG_RTOL). Each is one iteration of the traces
+    and of `max_sweeps`; `newton_trace` marks it. A step is rejected if a
+    diagonal block is not finite and invertible, CG does not converge within
+    NEWTON_CG_MAXITER iterations, or the objective rises by more than
+    objective_tol (relative); that iteration is a sweep. After a rejection, or
+    a kept step that did not lower the objective (the rounding floor), sweeps
+    run until their step falls 10x below that iteration's step. A disconnected
+    graph takes Newton steps on all its components at once, and its stopping
+    rule is global.
 
     Zero-start handling: a block equal to zero is unassigned. An unassigned
     camera whose gathered term is (near) zero, because all its neighbors are
@@ -190,8 +197,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     unassigned = not np.any(r, axis=(1, 2)).all()
     seeded = bool(r.any())
     prev_obj = objective(nb, r) if seeded else -0.0  # the objective of an all-zero stack
-    # Newton: the pattern (False if disconnected), whether the next iteration is a Newton
-    # step, and the sweep step below which one is tried (the zero-start sweep's is 180).
+    # Newton: the pattern, built once, whether the next iteration is a Newton step,
+    # and the sweep step below which one is tried (the zero-start sweep's is 180).
     pattern, newton, retry_below = None, False, 180.0
 
     for it in range(cfg.max_sweeps):
@@ -250,9 +257,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         if tried and not (newton and fell):  # rejected, or flat: back to sweeps
             newton, retry_below = False, max_step / 10.0
         elif not newton and max_step < retry_below:
-            if pattern is None:
-                pattern = nb.is_connected() and _NormalPattern(nb)
-            newton = bool(pattern)
+            pattern = pattern or _NormalPattern(nb)
+            newton = True
 
     result.rotations = r
     result.sweeps_run = len(step_trace)

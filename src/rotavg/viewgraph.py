@@ -185,6 +185,10 @@ class _Connectivity:
     def is_connected(self) -> bool:
         return self.n > 0 and not self._labels.any()
 
+    def smallest_cameras(self) -> np.ndarray:
+        """The smallest camera of each component, in component order."""
+        return np.unique(self._labels, return_index=True)[1]
+
 
 class ViewGraph(_Connectivity):
     """n cameras plus undirected relative-rotation measurements, stored as arrays.
@@ -264,11 +268,6 @@ class ViewGraph(_Connectivity):
                 f"({self.i_idx[k]},{self.j_idx[k]}) has none"
             )
         return self.hess
-
-    def require_connected(self) -> None:
-        if not self.is_connected():
-            sizes = [len(c) for c in self.components()]
-            raise ValueError(f"graph is disconnected: component sizes {sizes}")
 
 
 def anisotropic_weight(h: np.ndarray) -> np.ndarray:
@@ -373,15 +372,14 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
 
 
 def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
-    """Minimum spanning tree rooted at vertex 0.
+    """Minimum spanning forest (one tree per connected component), rooted at vertex 0.
 
     Edge weight is -tr(H) when every edge has a Hessian (most-certain edges
     first), otherwise uniform. Ties break on (i, j) lexicographic order, so
-    the tree is deterministic.
+    the forest is deterministic.
     """
     from scipy.sparse import coo_matrix, csgraph
 
-    g.require_connected()
     key = -np.trace(g.hess, axis1=1, axis2=2) if g.has_hessians else 1.0
     order = np.lexsort((g.j_idx, g.i_idx, np.broadcast_to(key, g.i_idx.shape)))
     # Weighted by rank in that order, all weights differ: the minimum spanning
@@ -392,25 +390,31 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
 
 
 def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndarray:
-    """Propagate rotations exactly along tree edges from the root.
+    """Propagate rotations exactly along the edges of a spanning forest.
 
-    The root gets the identity; each child satisfies its tree measurement
-    exactly (R_j = R_ij R_i in edge orientation, the transpose against it).
+    A chain starts at the root and at the smallest camera of each component
+    without the root; each start gets the identity, and each child satisfies
+    its tree measurement exactly (R_j = R_ij R_i in edge orientation, the
+    transpose against it).
     """
     from scipy.sparse import coo_matrix, csgraph
 
     edges, root = tree
-    rel = {(e.i, e.j): e.rel for e in edges}
+    n = g.n
+    # A virtual camera n, joined by identity edges to every start, makes the forest one
+    # tree, so one search reaches every chain.
+    starts = [root] + np.delete(g.smallest_cameras(), g._labels[root]).tolist() if n else []
+    rel = {(e.i, e.j): e.rel for e in edges} | {(s, n): np.eye(3) for s in starts}
     ij = np.array(list(rel), dtype=np.intp).reshape(-1, 2)
-    adjacency = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(g.n, g.n))
-    order, parent = csgraph.breadth_first_order(adjacency, root, directed=False)
-    if len(order) != g.n:
+    adjacency = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n + 1, n + 1))
+    order, parent = csgraph.breadth_first_order(adjacency, n, directed=False)
+    if len(order) != n + 1:
         raise ValueError("tree does not span the graph")
-    stack = np.zeros((g.n, 3, 3))
-    stack[root] = np.eye(3)
+    stack = np.zeros((n + 1, 3, 3))
+    stack[n] = np.eye(3)
     for w, v in zip(order[1:].tolist(), parent[order[1:]].tolist()):
         stack[w] = rel[v, w] @ stack[v] if v < w else rel[w, v].T @ stack[v]
-    return stack
+    return stack[:n]
 
 
 def save_view_graph(g: ViewGraph, path) -> None:

@@ -120,16 +120,25 @@ class TestSolveEval:
             f"in {solve['sweeps']} sweeps and {solve['newton_steps']} Newton steps (converged)\n")
 
     def test_per_component_manifest_timings(self, tmp_path):
+        """--per-component runs the one pipeline: full timings, the solve record and both traces."""
         vg, man = tmp_path / "two.vg", tmp_path / "m.json"
+        trace, rtrace = tmp_path / "t.csv", tmp_path / "r.csv"
         rot = " ".join("%.17g" % v for v in np.eye(3).ravel())
         vg.write_text(f"VGRAPH 1 4\nEDGE 0 1 {rot}\nEDGE 2 3 {rot}\n")
-        assert run(["solve", "--in", vg, "--mode", "iso", "--per-component",
-                    "--out", tmp_path / "e.rot", "--manifest", man]) == 0
-        assert set(json.loads(man.read_text())["timings_ms"]) == {"load", "save"}
+        with pytest.warns(UserWarning, match="unreachable from the seeded component"):
+            assert run(["solve", "--in", vg, "--mode", "iso", "--per-component", "--robust", "irls",
+                        "--out", tmp_path / "e.rot", "--manifest", man, "--trace", trace,
+                        "--robust-trace", rtrace]) == 0
+        manifest = json.loads(man.read_text())
+        assert set(manifest["timings_ms"]) == {"load", "assemble", "solve", "refine", "save"}
+        assert set(manifest["solve"]) == {"status", "sweeps", "newton_steps", "objective"}
+        assert len(trace.read_text().splitlines()) == manifest["solve"]["sweeps"] + 1
+        assert len(rtrace.read_text().splitlines()) >= 2
 
-    @pytest.mark.filterwarnings("ignore:vertex 0 has no incident edges")
+    @pytest.mark.filterwarnings("ignore:vertex 3 has no incident edges")
     def test_per_component_one_camera_refine(self, tmp_path, monkeypatch):
-        """A one-camera component refines as an empty system and keeps the identity."""
+        """One system over n - #components = 2 free cameras; the lone camera is
+        pinned and keeps the identity."""
         vg, est = tmp_path / "lone.vg", tmp_path / "e.rot"
         rng = np.random.default_rng(2)
         rot = [" ".join("%.17g" % v for v in so3.random_rotation(rng).ravel()) for _ in range(3)]
@@ -139,8 +148,26 @@ class TestSolveEval:
                             lambda p, *a: free_cameras.append(p.m) or solve(p, *a))
         assert run(["solve", "--in", vg, "--mode", "iso", "--per-component", "--robust", "irls",
                     "--out", est]) == 0
-        assert 0 in free_cameras and 2 in free_cameras
+        assert free_cameras and set(free_cameras) == {2}
         assert np.array_equal(load_rotations(est)[3], np.eye(3))
+
+    @pytest.mark.filterwarnings("ignore:vertex 6 has no incident edges")
+    def test_disconnected_graph_needs_per_component(self, tmp_path, capsys):
+        vg, est = tmp_path / "three.vg", tmp_path / "e.rot"
+        rng = np.random.default_rng(4)
+        rels = [so3.random_rotation(rng) for _ in range(4)]
+        rot = [" ".join("%.17g" % v for v in r.ravel()) for r in rels]
+        vg.write_text(f"VGRAPH 1 7\nEDGE 0 1 {rot[0]}\nEDGE 1 2 {rot[1]}\n"
+                      f"EDGE 3 4 {rot[2]}\nEDGE 4 5 {rot[3]}\n")
+        assert run(["solve", "--in", vg, "--mode", "iso", "--out", est]) == 1
+        assert "graph is disconnected (component sizes [3, 3, 1])" in capsys.readouterr().err
+        assert not est.exists()
+        assert run(["solve", "--in", vg, "--mode", "iso", "--init", "mst", "--per-component",
+                    "--out", est]) == 0
+        got = load_rotations(est)  # two exact chains and the lone camera's identity
+        for (i, j), rel in zip([(0, 1), (1, 2), (3, 4), (4, 5)], rels):
+            assert so3.angular_distance_deg(got[j] @ got[i].T, rel) < 1e-8
+        assert np.array_equal(got[6], np.eye(3))
 
     def test_eval_manifest_timings(self, noiseless_loop, tmp_path):
         _, gt = noiseless_loop

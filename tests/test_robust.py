@@ -237,16 +237,28 @@ class TestNormalEquations:
         np.testing.assert_allclose(rhs, want_rhs.ravel(), rtol=1e-14, atol=1e-14 * np.abs(want_rhs).max())
 
     @pytest.mark.parametrize(
-        "pairs", [[(0, 1), (1, 2)], [(0, 1), (2, 3)]], ids=["isolated_vertex", "split_pair"]
+        "pairs, pinned", [([(0, 1), (1, 2), (0, 2)], [0, 3]), ([(0, 1), (2, 3)], [0, 2])],
+        ids=["isolated_vertex", "split_pair"],
     )
-    def test_disconnected_system_is_singular(self, pairs):
+    def test_pinned_camera_per_component_has_zero_step(self, pairs, pinned):
+        """The smallest camera of each component is pinned; the step of each
+        component is that of its own system solved alone."""
+        rng = np.random.default_rng(16)
         g = ViewGraph(4, [EdgeMeasurement(i, j, np.eye(3)) for i, j in pairs])
-        e_count = len(g.edges)
-        with pytest.raises(ValueError, match="singular"):
-            solve_normal_equations(
-                robust._NormalPattern(g), np.ones(e_count), np.tile(np.eye(3), (e_count, 1, 1)),
-                0.1 * np.ones((e_count, 3)),
-            )
+        pattern = robust._NormalPattern(g)
+        assert np.flatnonzero(~pattern.free).tolist() == pinned and pattern.m == 4 - len(pinned)
+        weights, omegas = rng.uniform(0.1, 1.0, len(pairs)), rng.standard_normal((len(pairs), 3))
+        precisions = np.stack([random_spd(rng) for _ in pairs])
+        delta = solve_normal_equations(pattern, weights, precisions, omegas)
+        assert not delta[pinned].any() and np.all(delta[pattern.free] != 0.0)
+        for comp in g.components():
+            ids = [e for e, (i, _) in enumerate(pairs) if i in comp]
+            sub = ViewGraph(len(comp), [
+                EdgeMeasurement(comp.index(pairs[e][0]), comp.index(pairs[e][1]), np.eye(3)) for e in ids
+            ])
+            alone = solve_normal_equations(robust._NormalPattern(sub), weights[ids], precisions[ids],
+                                           omegas[ids])
+            np.testing.assert_allclose(delta[comp], alone, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
     @pytest.mark.parametrize("weight", [0.0, np.nan], ids=["zero", "nan"])
@@ -441,12 +453,26 @@ class TestRobustRefine:
             for field in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
-    def test_disconnected_graph_rejected(self):
-        g = ViewGraph(
-            4, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(2, 3, np.eye(3))]
-        )
-        with pytest.raises(ValueError, match="disconnected"):
-            robust_refine(g, np.tile(np.eye(3), (4, 1, 1)), RobustConfig())
+    @pytest.mark.parametrize("mode", ["iso", "aniso"])
+    def test_disconnected_graph_matches_separate_refinements(self, mode):
+        """Two noisy graphs side by side, plus a lone camera. Each component's smallest
+        camera keeps its start rotation, so no gauge alignment is needed: iso
+        refinement matches the separate refinements within 1e-5 deg. Aniso refinement
+        can stall on the joint cost where a component alone would not, so it only
+        keeps the pinned cameras and a non-increasing cost."""
+        rng = np.random.default_rng(17)
+        (a, gt_a), (b, gt_b) = noisy_graph(6, rng, outliers=2), noisy_graph(5, rng, outliers=1)
+        g = ViewGraph(12, list(a.edges) + [
+            EdgeMeasurement(e.i + 6, e.j + 6, e.rel, e.hessian) for e in b.edges])
+        start = np.concatenate([gt_a, gt_b, np.eye(3)[None]])
+        start = start @ so3.exp_so3(0.05 * rng.standard_normal((12, 3)))
+        res = robust_refine(g, start, RobustConfig(mode=mode))
+        assert np.array_equal(res.rotations[[0, 6, 11]], start[[0, 6, 11]])
+        assert np.all(np.diff(res.cost_trace) <= 1e-12)
+        if mode == "iso":
+            for comp, sub in ((slice(0, 6), a), (slice(6, 11), b)):
+                alone = robust_refine(sub, start[comp], RobustConfig(mode=mode)).rotations
+                assert so3.angular_distance_deg(res.rotations[comp], alone).max() < 1e-5
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(10)

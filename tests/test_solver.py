@@ -506,33 +506,51 @@ class TestNewtonPolish:
             robust.robust_refine(g, res.rotations, robust.RobustConfig(mode=mode))
             assert rtols and set(rtols) == {robust.CG_RTOL}
 
-    @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex", "cg_fails", "cg_capped"])
+    @pytest.mark.parametrize("case", ["cg_fails", "cg_capped"])
     def test_no_newton_step_keeps_the_sweeps(self, case, monkeypatch):
-        """A graph that is not connected takes no Newton step, and a step CG
-        cannot give is rejected: the iterates are those of the sweeps, bit for bit."""
+        """A step CG cannot give is rejected: the iterates are those of the sweeps, bit for bit."""
         g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
-        n = 30
-        if case == "disconnected":  # two copies of the scene side by side
-            n = 60
-            g = ViewGraph.from_arrays(n, np.r_[g.i_idx, g.i_idx + 30], np.r_[g.j_idx, g.j_idx + 30],
-                                      np.r_[g.rel, g.rel], np.r_[g.hess, g.hess])
-        elif case == "isolated_vertex":
-            n = 31
-            g = ViewGraph.from_arrays(n, g.i_idx, g.j_idx, g.rel, g.hess)
-        elif case == "cg_fails":
+        if case == "cg_fails":
             monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: None)
         else:
             monkeypatch.setattr(solver, "NEWTON_CG_MAXITER", 1)
         nb = assemble_blocks(g, "aniso")
-        init = make_init("random", n, seed=1)
+        init = make_init("random", 30, seed=1)
         res = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
         assert not any(res.newton_trace)
         assert np.array_equal(res.rotations, sweeps_only(nb, init, 0, 12))
-        monkeypatch.undo()  # the connected scene takes Newton steps under the same rule
-        one = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
-        connected = acd_solve(assemble_blocks(one, "aniso"), SolverConfig(max_sweeps=12, **self.TIGHT),
-                              make_init("random", 30, seed=1))
+        monkeypatch.undo()  # the scene takes Newton steps under the same rule
+        connected = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
         assert any(connected.newton_trace)
+
+    @pytest.mark.filterwarnings("ignore:vertex 30 has no incident edges", "ignore:.*is unreachable")
+    @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex"])
+    @pytest.mark.parametrize("init", ["zeros", "random"])
+    def test_disconnected_graph_takes_newton_steps(self, case, init, monkeypatch):
+        """Two copies of a scene side by side, or a scene and a lone camera: Newton
+        steps keep each component's smallest camera (0 and 30) and the solve reaches
+        the objective of the separate solves (a lone camera adds nothing to it)."""
+        g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
+        alone = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init(init, 30, seed=1))
+        if case == "disconnected":
+            n, copies = 60, 2
+            g = ViewGraph.from_arrays(n, np.r_[g.i_idx, g.i_idx + 30], np.r_[g.j_idx, g.j_idx + 30],
+                                      np.r_[g.rel, g.rel], np.r_[g.hess, g.hess])
+        else:
+            n, copies = 31, 1
+            g = ViewGraph.from_arrays(n, g.i_idx, g.j_idx, g.rel, g.hess)
+        kept, newton_iterate = [], solver._newton_iterate
+
+        def recording(nb, pattern, r):
+            r_new = newton_iterate(nb, pattern, r)
+            assert np.flatnonzero(~pattern.free).tolist() == [0, 30]
+            kept.append(r_new is not None and np.array_equal(r_new[[0, 30]], r[[0, 30]]))
+            return r_new
+
+        monkeypatch.setattr(solver, "_newton_iterate", recording)
+        res = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init(init, n, seed=1))
+        assert res.status == "converged" and sum(res.newton_trace) >= 2 and all(kept)
+        assert res.objective_trace[-1] == pytest.approx(copies * alone.objective_trace[-1], rel=1e-12)
 
 
 class TestBcdOracle:

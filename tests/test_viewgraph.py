@@ -122,8 +122,6 @@ class TestViewGraph:
         comps.pop()
         assert g.components() == [[0, 1], [2, 3]]
         assert not g.is_connected()
-        with pytest.raises(ValueError, match=r"component sizes \[2, 2\]"):
-            g.require_connected()
 
     def test_edge_index_arrays(self):
         g = ViewGraph(4, [EdgeMeasurement(1, 3, np.eye(3)), EdgeMeasurement(0, 2, np.eye(3))])
@@ -732,10 +730,14 @@ class TestSpanningTree:
         tree, _ = spanning_tree(ViewGraph(9, edges))
         assert [(e.i, e.j) for e in tree] == want
 
-    def test_disconnected_error_lists_sizes(self):
-        g = ViewGraph(4, [EdgeMeasurement(0, 1, np.eye(3)), EdgeMeasurement(2, 3, np.eye(3))])
-        with pytest.raises(ValueError, match=r"component sizes \[2, 2\]"):
-            spanning_tree(g)
+    def test_disconnected_graph_gives_spanning_forest(self):
+        """One tree per component: n - #components edges, and the same components."""
+        rng = np.random.default_rng(11)
+        pairs = [(0, 2), (2, 5), (0, 5), (1, 3), (3, 6), (1, 6), (3, 7)]  # and cameras 4, 8 alone
+        g = ViewGraph(9, [EdgeMeasurement(i, j, np.eye(3), random_spd(rng)) for i, j in pairs])
+        tree, root = spanning_tree(g)
+        assert root == 0 and len(tree) == 9 - 4
+        assert ViewGraph(9, tree).components() == g.components() == [[0, 2, 5], [1, 3, 6, 7], [4], [8]]
 
 
 class TestChainInit:
@@ -768,10 +770,24 @@ class TestChainInit:
             assert so3.is_rotation(r)
 
     def test_tree_must_span(self):
-        edges = [EdgeMeasurement(0, 1, rz(10)), EdgeMeasurement(2, 3, rz(20))]
+        edges = [EdgeMeasurement(k, k + 1, rz(10 * k)) for k in range(3)]
         g = ViewGraph(4, edges)
         with pytest.raises(ValueError, match="tree does not span"):
-            chain_init(g, (edges, 0))
+            chain_init(g, ([edges[0], edges[2]], 0))
+
+    def test_one_chain_per_component(self):
+        """Chains start at the root and at the smallest camera of every other component."""
+        rng = np.random.default_rng(12)
+        gt = np.stack([so3.random_rotation(rng) for _ in range(7)])
+        pairs = [(0, 2), (1, 3), (2, 5), (0, 5), (3, 6)]  # components {0,2,5}, {1,3,6}, {4}
+        g = ViewGraph(7, [EdgeMeasurement(i, j, gt[j] @ gt[i].T) for i, j in pairs])
+        for root in (0, 5):
+            stack = chain_init(g, (spanning_tree(g)[0], root))
+            for start, comp in ((root, [0, 2, 5]), (1, [1, 3, 6])):
+                np.testing.assert_array_equal(stack[start], np.eye(3))
+                for k in comp:  # exact up to the component's gauge
+                    assert so3.angular_distance_deg(stack[k], gt[k] @ gt[start].T) <= 1e-7
+            np.testing.assert_array_equal(stack[4], np.eye(3))
 
     def test_root_and_edge_orientation(self):
         """Rooted at 2: camera 1 is reached against its edge, camera 0 along it."""
