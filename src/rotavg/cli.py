@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import __version__, metrics, synth
 from .robust import DEFAULT_TAU_DEG, RobustConfig, write_robust_trace_csv
 from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_OBJECTIVE_TOL, DEFAULT_STEP_TOL_DEG,
                      SolverConfig, write_trace_csv)
-from .pipeline import run_pipeline
+from .pipeline import run_pipeline, stage
 from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
 
 
@@ -36,10 +35,6 @@ def _write_manifest(args, timings_ms, **outcomes) -> None:
         f.write("\n")
 
 
-def _ms_since(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1e3
-
-
 def cmd_synth(args) -> int:
     spec = synth.SceneSpec(
         kind=args.kind,
@@ -50,29 +45,22 @@ def cmd_synth(args) -> int:
         perturb_gamma=args.perturb_gamma,
         seed=args.seed,
     )
-    t0 = time.perf_counter()
-    scene = synth.generate_scene(spec)
-    graph = scene.graph
-    timings = {"generate": _ms_since(t0)}
-    t0 = time.perf_counter()
-    save_view_graph(graph, args.out)
-    if args.gt:
-        save_rotations(scene.ground_truth, args.gt)
-    timings["save"] = _ms_since(t0)
+    timings = {}
+    with stage(timings, "generate"):
+        scene = synth.generate_scene(spec)
+    with stage(timings, "save"):
+        save_view_graph(scene.graph, args.out)
+        if args.gt:
+            save_rotations(scene.ground_truth, args.gt)
     _write_manifest(args, timings)
-    print(f"wrote {len(graph.edges)} edges for {graph.n} cameras to {args.out}")
+    print(f"wrote {len(scene.graph.edges)} edges for {scene.graph.n} cameras to {args.out}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    graph = load_view_graph(getattr(args, "in"))
-    load_ms = _ms_since(t0)
-    needs_hessians = args.mode == "aniso" or args.robust == "airls"
-    if needs_hessians and not graph.has_hessians:
-        raise ValueError(
-            "mode 'aniso' / robust 'airls' require a Hessian on every edge"
-        )
+    timings = {}
+    with stage(timings, "load"):
+        graph = load_view_graph(getattr(args, "in"))
     sizes = [len(c) for c in graph.components()]
     if len(sizes) > 1 and not args.per_component:
         raise ValueError(
@@ -91,14 +79,15 @@ def cmd_solve(args) -> int:
     robust_cfg = RobustConfig(tau_deg=args.tau_deg)
 
     result = run_pipeline(graph, cfg, args.robust, robust_cfg)
-    t0 = time.perf_counter()
-    save_rotations(result.rotations, args.out)
-    if args.trace:
-        write_trace_csv(result.solve, args.trace)
-    if args.robust_trace and result.refine is not None:
-        write_robust_trace_csv(result.refine, args.robust_trace)
+    timings.update(result.timings_ms)
+    with stage(timings, "save"):
+        save_rotations(result.rotations, args.out)
+        if args.trace:
+            write_trace_csv(result.solve, args.trace)
+        if args.robust_trace and result.refine is not None:
+            write_robust_trace_csv(result.refine, args.robust_trace)
     solve, newton = result.solve, sum(result.solve.newton_trace)
-    _write_manifest(args, {"load": load_ms, **result.timings_ms, "save": _ms_since(t0)},
+    _write_manifest(args, timings,
                     solve={"status": solve.status, "sweeps": solve.sweeps_run - newton,
                            "newton_steps": newton, "objective": solve.objective_trace[-1]})
     print(
@@ -109,21 +98,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    est = load_rotations(args.est)
-    gt = load_rotations(args.gt)
-    timings = {"load": _ms_since(t0)}
+    timings = {}
+    with stage(timings, "load"):
+        est = load_rotations(args.est)
+        gt = load_rotations(args.gt)
     if est.shape != gt.shape:
         raise ValueError(
             f"camera count mismatch: {est.shape[0]} estimated vs {gt.shape[0]} ground truth"
         )
     thresholds = [float(t) for t in args.auc.split(",") if t]
-    t0 = time.perf_counter()
-    report = metrics.evaluate(est, gt, thresholds)
-    timings["evaluate"] = _ms_since(t0)
-    t0 = time.perf_counter()
-    metrics.write_metrics_json(report, args.out)
-    timings["save"] = _ms_since(t0)
+    with stage(timings, "evaluate"):
+        report = metrics.evaluate(est, gt, thresholds)
+    with stage(timings, "save"):
+        metrics.write_metrics_json(report, args.out)
     _write_manifest(args, timings)
     print(
         f"rms {report.rms_deg:.6g} deg, aa {report.aa_percent:.4g}%, "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,14 @@ class PipelineResult:
     timings_ms: dict[str, float]
 
 
+@contextmanager
+def stage(timings: dict[str, float], name: str):
+    """Record the block's wall time in milliseconds as `timings[name]`."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = (time.perf_counter() - t0) * 1e3
+
+
 def run_pipeline(
     graph: ViewGraph,
     cfg: SolverConfig,
@@ -29,28 +38,26 @@ def run_pipeline(
     """Assemble, solve with coordinate descent, optionally refine robustly."""
     if robust_kind not in ("none", "irls", "airls"):
         raise ValueError(f"unknown robust stage {robust_kind!r}")
+    if robust_kind == "airls":  # before any stage: a ValueError naming an edge without a Hessian
+        graph.hessian_stack()
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    blocks = assemble_blocks(graph, cfg.mode)
-    timings["assemble"] = (time.perf_counter() - t0) * 1e3
+    with stage(timings, "assemble"):
+        blocks = assemble_blocks(graph, cfg.mode)
 
     if cfg.init == "mst":
         init = chain_init(graph, spanning_tree(graph))
     else:
         init = make_init(cfg.init, graph.n, cfg.shuffle_seed)
-    t0 = time.perf_counter()
-    solve = acd_solve(blocks, cfg, init)
-    timings["solve"] = (time.perf_counter() - t0) * 1e3
+    with stage(timings, "solve"):
+        solve = acd_solve(blocks, cfg, init)
 
     refine = None
     rotations = solve.rotations
     if robust_kind != "none":
         mode = "aniso" if robust_kind == "airls" else "iso"
-        t0 = time.perf_counter()
-        refine = robust_refine(graph, rotations, replace(robust_cfg or RobustConfig(), mode=mode))
-        timings["refine"] = (time.perf_counter() - t0) * 1e3
+        with stage(timings, "refine"):
+            refine = robust_refine(graph, rotations, replace(robust_cfg or RobustConfig(), mode=mode))
         rotations = refine.rotations
 
     return PipelineResult(rotations, solve, refine, timings)
-

@@ -36,10 +36,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .viewgraph import ViewGraph, check_count, clamp_psd
+from .viewgraph import ViewGraph, clamp_psd, write_csv
 
 DEFAULT_TAU_DEG = 5.0
+MAX_OUTER_ITERS = 50
 MAX_HALVINGS = 10
+# A refinement converges once its largest camera step falls below this.
+STEP_TOL_DEG = 1e-6
 # Relative residual at which CG stops. At this tolerance the refined
 # rotations match those of a direct sparse solve to about 1e-14.
 CG_RTOL = 1e-12
@@ -48,16 +51,11 @@ CG_RTOL = 1e-12
 @dataclass
 class RobustConfig:
     tau_deg: float = DEFAULT_TAU_DEG
-    max_outer_iters: int = 50
-    step_tol_deg: float = 1e-6
     mode: str = "iso"  # iso | aniso
 
     def __post_init__(self):
         if not 0 < self.tau_deg < np.inf:  # NaN fails too
             raise ValueError("tau_deg must be positive and finite")
-        check_count(self.max_outer_iters, "max_outer_iters")
-        if not self.step_tol_deg > 0:
-            raise ValueError("step_tol_deg must be positive")
         if self.mode not in ("iso", "aniso"):
             raise ValueError(f"unknown robust mode {self.mode!r}")
 
@@ -289,7 +287,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     cost = robust_cost(norms, tau)
     result = RefineResult(rotations=r, cost_trace=[cost])
 
-    for _ in range(cfg.max_outer_iters):
+    for _ in range(MAX_OUTER_ITERS):
         result.iters_run += 1
         weights = irls_weight(norms, tau)
         delta = solve_normal_equations(pattern, weights, model.effective_precisions(r), omegas)
@@ -313,7 +311,7 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
         result.cost_trace.append(cost)
         result.max_step_trace.append(max_step)
         result.halving_trace.append(halvings)
-        if max_step < cfg.step_tol_deg:
+        if max_step < STEP_TOL_DEG:
             result.status = "converged"
             break
     result.rotations = r
@@ -322,10 +320,5 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
 
 def write_robust_trace_csv(result: RefineResult, path) -> None:
     """CSV: iter,robust_cost,max_step_deg,halvings — one row per outer iter."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("iter,robust_cost,max_step_deg,halvings\n")
-        for k in range(len(result.max_step_trace)):
-            f.write(
-                f"{k + 1},{result.cost_trace[k + 1]:.17g},"
-                f"{result.max_step_trace[k]:.17g},{result.halving_trace[k]}\n"
-            )
+    write_csv(path, "iter,robust_cost,max_step_deg,halvings", result.cost_trace[1:],
+              result.max_step_trace, result.halving_trace)

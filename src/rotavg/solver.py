@@ -20,7 +20,7 @@ import numpy as np
 
 from . import so3
 from .robust import _NormalPattern, block_jacobi_cg
-from .viewgraph import ConnectionBlocks, check_count
+from .viewgraph import ConnectionBlocks, check_count, write_csv
 
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_OBJECTIVE_TOL = 1e-12
@@ -182,8 +182,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     to the assigned cameras, and the first of them becomes a new identity
     seed. Chaining from one seed is what makes the zero start land in a good
     basin instead of scattering identity islands across the graph. An
-    unassigned isolated camera gets the identity, with a warning, and does
-    not take the seed.
+    unassigned isolated camera gets the identity and does not take the seed;
+    one warning per call counts them and names the first few.
     """
     n = nb.n
     r = np.array(init, dtype=float, copy=True)
@@ -200,6 +200,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     # Newton: the pattern, built once, whether the next iteration is a Newton step,
     # and the sweep step below which one is tried (the zero-start sweep's is 180).
     pattern, newton, retry_below = None, False, 180.0
+    lone = []  # unassigned cameras without edges, which get the identity
 
     for it in range(cfg.max_sweeps):
         r_prev, tried = r.copy(), newton
@@ -219,7 +220,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
                         if r[k].any():  # assigned: keeps its rotation
                             continue
                         if len(indices[k]) == 0:
-                            warnings.warn(f"vertex {k} has no incident edges; using identity")
+                            lone.append(k)
                         elif seeded:
                             waited.append(k)
                             continue
@@ -260,6 +261,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             pattern = pattern or _NormalPattern(nb)
             newton = True
 
+    if lone:
+        warnings.warn(f"{len(lone)} vertices have no incident edges, e.g. {sorted(lone)[:5]}; using identity")
     result.rotations = r
     result.sweeps_run = len(step_trace)
     return result
@@ -301,10 +304,5 @@ def bcd_oracle_update(nb_iso: ConnectionBlocks, r: np.ndarray, k: int) -> np.nda
 def write_trace_csv(result: SolveResult, path) -> None:
     """CSV: sweep,objective,max_step_deg,newton — one row per iteration, newton 1
     for a Newton step and 0 for a sweep."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("sweep,objective,max_step_deg,newton\n")
-        for s, (obj, step, newton) in enumerate(
-            zip(result.objective_trace, result.max_step_trace, result.newton_trace, strict=True),
-            start=1,
-        ):
-            f.write(f"{s},{obj:.17g},{step:.17g},{int(newton)}\n")
+    write_csv(path, "sweep,objective,max_step_deg,newton", result.objective_trace,
+              result.max_step_trace, result.newton_trace)

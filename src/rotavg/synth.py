@@ -157,32 +157,24 @@ def _scene_graph(n: int, gt, i, j, noise_scale: float, rng) -> ViewGraph:
     return ViewGraph.from_arrays(n, i, j, rel, hess)
 
 
-def gen_loop_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -> SyntheticScene:
+def _loop_scene(spec: SceneSpec, rng: np.random.Generator) -> SyntheticScene:
     """Cameras evenly spaced on a circle, each connected to its two neighbors.
 
     Ground-truth orientations rotate uniformly about the circle normal; only
     relative rotations matter, so any smooth assignment is equivalent.
     """
-    if spec.kind != "loop":
-        raise ValueError("spec.kind must be 'loop'")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     n = spec.n
     gt = so3.exp_so3(np.outer(2.0 * np.pi * np.arange(n) / n, [0.0, 0.0, 1.0]))
     i, j = np.array(sorted([(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])).T
     return SyntheticScene(_scene_graph(n, gt, i, j, spec.noise_scale, rng), gt, spec)
 
 
-def gen_general_scene(spec: SceneSpec, rng: np.random.Generator | None = None) -> SyntheticScene:
+def _general_scene(spec: SceneSpec, rng: np.random.Generator) -> SyntheticScene:
     """Haar-random orientations with each camera pair observed with probability p.
 
     Disconnected draws are redone wholesale (up to MAX_REDRAWS) so the edge
     law stays Bernoulli conditioned on connectivity.
     """
-    if spec.kind != "general":
-        raise ValueError("spec.kind must be 'general'")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     n = spec.n
     p = spec.p if spec.p is not None else rng.uniform(0.1, 1.0)
     gt = so3.quaternion_rotation(rng.standard_normal((n, 4)))  # as n random_rotation calls
@@ -207,7 +199,7 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
     """Dispatch on spec.kind with a generator seeded from spec.seed, then perturb
     the Hessians as the spec asks, with perturbed_graph seeded from spec.seed + 1."""
     rng = np.random.default_rng(spec.seed)
-    scene = gen_loop_scene(spec, rng) if spec.kind == "loop" else gen_general_scene(spec, rng)
+    scene = (_loop_scene if spec.kind == "loop" else _general_scene)(spec, rng)
     if spec.perturb_sigma_deg > 0 or spec.perturb_gamma > 0:
         scene.graph = perturbed_graph(scene, spec.perturb_sigma_deg, spec.perturb_gamma, spec.seed + 1)
     return scene

@@ -512,6 +512,14 @@ def save_rotations(stack: np.ndarray, path) -> None:
         f.writelines(("ROT %d " + _MATRIX_FMT) % (i, *r) + "\n" for i, r in enumerate(rows))
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """Write `header`, then row k (from 1) as k and the k-th entry of each column in .17g."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines(",".join([str(k), *(format(v, ".17g") for v in row)]) + "\n"
+                     for k, row in enumerate(zip(*columns, strict=True), start=1))
+
+
 def load_rotations(path) -> np.ndarray:
     """Read a rotation file into an (n, 3, 3) stack; ids must cover 0..n-1."""
     ids, vals, lines, faults = {}, array("d"), [], []

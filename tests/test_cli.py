@@ -132,10 +132,11 @@ class TestSolveEval:
         manifest = json.loads(man.read_text())
         assert set(manifest["timings_ms"]) == {"load", "assemble", "solve", "refine", "save"}
         assert set(manifest["solve"]) == {"status", "sweeps", "newton_steps", "objective"}
-        assert len(trace.read_text().splitlines()) == manifest["solve"]["sweeps"] + 1
+        solve = manifest["solve"]
+        assert len(trace.read_text().splitlines()) == solve["sweeps"] + solve["newton_steps"] + 1
         assert len(rtrace.read_text().splitlines()) >= 2
 
-    @pytest.mark.filterwarnings("ignore:vertex 3 has no incident edges")
+    @pytest.mark.filterwarnings("ignore:1 vertices have no incident edges")
     def test_per_component_one_camera_refine(self, tmp_path, monkeypatch):
         """One system over n - #components = 2 free cameras; the lone camera is
         pinned and keeps the identity."""
@@ -151,7 +152,7 @@ class TestSolveEval:
         assert free_cameras and set(free_cameras) == {2}
         assert np.array_equal(load_rotations(est)[3], np.eye(3))
 
-    @pytest.mark.filterwarnings("ignore:vertex 6 has no incident edges")
+    @pytest.mark.filterwarnings("ignore:1 vertices have no incident edges")
     def test_disconnected_graph_needs_per_component(self, tmp_path, capsys):
         vg, est = tmp_path / "three.vg", tmp_path / "e.rot"
         rng = np.random.default_rng(4)
@@ -205,6 +206,14 @@ class TestSolveEval:
         code = run(["solve", "--in", vg, "--mode", "aniso", "--out", tmp_path / "e.rot"])
         assert code == 1
         assert "Hessian" in capsys.readouterr().err
+
+    def test_iso_airls_without_hessians_exit_1(self, tmp_path, capsys):
+        vg, est = tmp_path / "bare.vg", tmp_path / "e.rot"
+        eye = " ".join("%.17g" % v for v in np.eye(3).ravel())
+        vg.write_text(f"VGRAPH 1 3\nEDGE 0 1 {eye} H {eye}\nEDGE 1 2 {eye}\n")
+        assert run(["solve", "--in", vg, "--mode", "iso", "--robust", "airls", "--out", est]) == 1
+        assert "edge (1,2) has none" in capsys.readouterr().err
+        assert not est.exists()
 
     def test_airls_zero_hessian_exit_1(self, tmp_path, capsys):
         vg = tmp_path / "zero_h.vg"

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rotavg import metrics, so3
+from rotavg import metrics, pipeline, so3
 from rotavg.pipeline import run_pipeline
 from rotavg.robust import RobustConfig
 from rotavg.solver import SolverConfig
@@ -16,11 +16,22 @@ from rotavg.viewgraph import EdgeMeasurement, ViewGraph
 @pytest.mark.parametrize("robust_kind", ["irls", "airls"])
 def test_robust_config_not_mutated(robust_kind):
     graph = generate_scene(SceneSpec(kind="general", n=8, p=0.8, seed=2)).graph
-    cfg = RobustConfig(max_outer_iters=3)
+    cfg = RobustConfig(tau_deg=3.0)
     before = dataclasses.asdict(cfg)
     res = run_pipeline(graph, SolverConfig(), robust_kind, cfg)
     assert dataclasses.asdict(cfg) == before
     assert res.refine is not None and res.refine.iters_run >= 1
+
+
+def test_airls_checks_hessians_before_acd(monkeypatch):
+    """"airls" on a graph with an edge without a Hessian fails before ACD runs,
+    naming that edge, even when ACD itself needs no Hessians."""
+    g = generate_scene(SceneSpec(kind="general", n=8, p=0.8, seed=2)).graph
+    has_hessian = np.arange(len(g.i_idx)) != 3
+    g = ViewGraph.from_arrays(g.n, g.i_idx, g.j_idx, g.rel, g.hess, has_hessian)
+    monkeypatch.setattr(pipeline, "acd_solve", lambda *args: pytest.fail("ACD ran"))
+    with pytest.raises(ValueError, match=rf"edge \({g.i_idx[3]},{g.j_idx[3]}\) has none"):
+        run_pipeline(g, SolverConfig(mode="iso"), "airls")
 
 
 def test_nan_relative_rotation_rejected():
@@ -52,7 +63,7 @@ def test_per_component_solves_each_component_alone():
     with pytest.warns(UserWarning) as caught:
         got = run_pipeline(g, cfg).rotations
     messages = [str(w.message) for w in caught]
-    assert "vertex 4 has no incident edges; using identity" in messages
+    assert "1 vertices have no incident edges, e.g. [4]; using identity" in messages
     assert sum("is unreachable from the seeded component" in m for m in messages) == 1
     for comp, ids in (([0, 2, 5], [0, 2, 3]), ([1, 3, 6], [1, 4])):
         local = {v: k for k, v in enumerate(comp)}
@@ -63,7 +74,7 @@ def test_per_component_solves_each_component_alone():
     np.testing.assert_array_equal(got[4], np.eye(3))
 
 
-@pytest.mark.filterwarnings("ignore:vertex")
+@pytest.mark.filterwarnings("ignore:vertex", "ignore:1 vertices have no incident edges")
 @pytest.mark.parametrize("init", ["zeros", "random", "mst"])
 @pytest.mark.parametrize("robust_kind, tol_deg", [("none", 1e-8), ("irls", 1e-5)])
 def test_disconnected_graph_matches_separate_solves(robust_kind, tol_deg, init):

@@ -329,9 +329,21 @@ class TestAcdSolve:
             warnings.simplefilter("always")
             res = acd_solve(assemble_blocks(g, "iso"), cfg, make_init("zeros", 3))
         messages = [str(w.message) for w in caught]
-        assert messages == ["vertex 0 has no incident edges; using identity"]
+        assert messages == ["1 vertices have no incident edges, e.g. [0]; using identity"]
         assert res.max_step_trace[0] == 180.0
         assert all(so3.is_rotation(r) for r in res.rotations)
+
+    def test_many_lone_cameras_warn_once(self):
+        """200 lone cameras next to a connected scene: one warning per solve, with
+        the count and the first ids; every lone camera gets the identity."""
+        g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=4)).graph
+        g = ViewGraph.from_arrays(230, g.i_idx, g.j_idx, g.rel, g.hess)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init("zeros", 230))
+        assert [str(w.message) for w in caught] == [
+            "200 vertices have no incident edges, e.g. [30, 31, 32, 33, 34]; using identity"]
+        np.testing.assert_array_equal(res.rotations[30:], np.tile(np.eye(3), (200, 1, 1)))
 
     def test_partly_zero_init_completes_in_first_sweep(self):
         scene = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=4))
@@ -523,7 +535,7 @@ class TestNewtonPolish:
         connected = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
         assert any(connected.newton_trace)
 
-    @pytest.mark.filterwarnings("ignore:vertex 30 has no incident edges", "ignore:.*is unreachable")
+    @pytest.mark.filterwarnings("ignore:1 vertices have no incident edges", "ignore:.*is unreachable")
     @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex"])
     @pytest.mark.parametrize("init", ["zeros", "random"])
     def test_disconnected_graph_takes_newton_steps(self, case, init, monkeypatch):

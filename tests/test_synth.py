@@ -10,8 +10,6 @@ from rotavg import so3, synth
 from rotavg.synth import (
     SceneSpec,
     apply_noise,
-    gen_general_scene,
-    gen_loop_scene,
     generate_scene,
     perturb_hessian,
     perturbed_graph,
@@ -143,7 +141,7 @@ class TestApplyNoise:
 
 class TestLoopScene:
     def test_structure(self):
-        sc = gen_loop_scene(SceneSpec(kind="loop", n=100, seed=0))
+        sc = generate_scene(SceneSpec(kind="loop", n=100, seed=0))
         assert len(sc.graph.edges) == 100
         assert sc.graph.is_connected()
         degree = np.zeros(100, dtype=int)
@@ -153,14 +151,14 @@ class TestLoopScene:
         assert np.all(degree == 2)
 
     def test_noiseless_chaining_recovers_ground_truth(self):
-        sc = gen_loop_scene(SceneSpec(kind="loop", n=20, noise_scale=0.0, seed=1))
+        sc = generate_scene(SceneSpec(kind="loop", n=20, noise_scale=0.0, seed=1))
         stack = chain_init(sc.graph, spanning_tree(sc.graph))
         q = stack[0].T @ sc.ground_truth[0]
         for est, true in zip(stack @ q[None], sc.ground_truth):
             assert so3.angular_distance_deg(est, true) <= 1e-7
 
     def test_noiseless_cycle_consistency(self):
-        sc = gen_loop_scene(SceneSpec(kind="loop", n=100, noise_scale=0.0, seed=2))
+        sc = generate_scene(SceneSpec(kind="loop", n=100, noise_scale=0.0, seed=2))
         rel = {(e.i, e.j): e.rel for e in sc.graph.edges}
         acc = np.eye(3)
         for k in range(99):
@@ -171,7 +169,7 @@ class TestLoopScene:
 
 class TestGeneralScene:
     def test_complete_graph_edge_count(self):
-        sc = gen_general_scene(SceneSpec(kind="general", n=100, p=1.0, seed=3))
+        sc = generate_scene(SceneSpec(kind="general", n=100, p=1.0, seed=3))
         assert len(sc.graph.edges) == 4950
 
     def test_edge_count_concentrates(self):
@@ -179,13 +177,13 @@ class TestGeneralScene:
         mean = p * n * (n - 1) / 2
         sigma = np.sqrt(n * (n - 1) / 2 * p * (1 - p))
         counts = [
-            len(gen_general_scene(SceneSpec(kind="general", n=n, p=p, seed=s)).graph.edges)
+            len(generate_scene(SceneSpec(kind="general", n=n, p=p, seed=s)).graph.edges)
             for s in range(20)
         ]
         assert abs(np.mean(counts) - mean) <= 4 * sigma
 
     def test_connected_with_hessians(self):
-        sc = gen_general_scene(SceneSpec(kind="general", n=30, p=0.2, seed=4))
+        sc = generate_scene(SceneSpec(kind="general", n=30, p=0.2, seed=4))
         assert sc.graph.is_connected()
         assert sc.graph.has_hessians
         for e in sc.graph.edges:
@@ -204,7 +202,7 @@ class TestGeneralScene:
 
     def test_persistent_disconnection_errors(self):
         with pytest.raises(RuntimeError, match="connected"):
-            gen_general_scene(SceneSpec(kind="general", n=60, p=0.01, seed=5))
+            generate_scene(SceneSpec(kind="general", n=60, p=0.01, seed=5))
 
 
 class TestGenerateScene:
