@@ -105,7 +105,6 @@ class _EdgeModel:
             # scale tau comparable between iso and aniso runs.
             scale = np.sqrt(np.einsum("eaa->e", self.h) / 3.0)
             self.dn = np.swapaxes(np.linalg.cholesky(self.h), 1, 2) / scale[:, None, None]
-            self.norm_scale = scale
 
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""

@@ -27,6 +27,7 @@ OFF_MANIFOLD_TOL = 1e-6
 _CHOLESKY_MAX = 1e6  # _not_psd's verdicts measured equal to eigvalsh's up to here, not at 1e7
 FLOAT_FMT = "%.17g"
 _MATRIX_FMT = " ".join([FLOAT_FMT] * 9)  # one 3x3 matrix, row-major
+BLOCK_LINES = 1024  # rows per float conversion on load, lines per write on save
 
 
 class GraphFormatError(ValueError):
@@ -418,23 +419,84 @@ def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndar
 
 
 def save_view_graph(g: ViewGraph, path) -> None:
-    """Write the text format: VGRAPH header plus one EDGE line per edge."""
+    """Write the text format: VGRAPH header plus one EDGE line per edge.
+
+    Lines are formatted and written BLOCK_LINES at a time, so the memory the
+    writer takes beyond the graph does not grow with the edge count. A graph of
+    0 cameras raises ValueError: the format's camera count must be positive.
+    """
+    if g.n < 1:
+        raise ValueError(f"cannot save a view graph of {g.n} cameras: "
+                         "the VGRAPH header needs a positive camera count")
     plain = "EDGE %d %d " + _MATRIX_FMT
     with_h = plain + " H " + _MATRIX_FMT
-    rows = zip(g.i_idx.tolist(), g.j_idx.tolist(), g.rel.reshape(-1, 9).tolist(),
-               g.hess.reshape(-1, 9).tolist(), g.has_hessian)
-    lines = [with_h % (i, j, *r, *h) if has else plain % (i, j, *r) for i, j, r, h, has in rows]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join([f"VGRAPH 1 {g.n}"] + lines) + "\n")
+        f.write(f"VGRAPH 1 {g.n}\n")
+        for start in range(0, len(g.i_idx), BLOCK_LINES):
+            b = slice(start, start + BLOCK_LINES)
+            rows = zip(g.i_idx[b].tolist(), g.j_idx[b].tolist(), g.rel[b].reshape(-1, 9).tolist(),
+                       g.hess[b].reshape(-1, 9).tolist(), g.has_hessian[b].tolist())
+            f.write("".join([(with_h % (i, j, *r, *h) if has else plain % (i, j, *r)) + "\n"
+                             for i, j, r, h, has in rows]))
 
 
 def _records(path):
     """(line number, tokens) of each line with content, comments stripped."""
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
-            tok = raw.split("#", 1)[0].split()
+            tok = raw.partition("#")[0].split()
             if tok:
                 yield lineno, tok
+
+
+def _read_rows(path, parse, width: int):
+    """Check each line of a text file with `parse` and convert its numbers a block at a time.
+
+    `parse(tok)` checks one line's tokens and returns its `width` number
+    tokens, or None for a line without numbers; it raises ValueError on a
+    fault. The numbers of BLOCK_LINES rows are converted by one np.array call,
+    which accepts and refuses the strings float() does, with the same message.
+    Reading stops at the first fault: a line's, or a refused number's, whose
+    line is found by converting that block one token at a time. Returns the
+    numbers of the rows before the fault as a flat array("d"), the rows' line
+    numbers as an array("q"), and the faults: [] or [(line number, message)].
+    """
+    vals, lines, faults, block, block_lines = array("d"), array("q"), [], [], []
+
+    def convert() -> bool:
+        """Move the block's rows before its first refused number into vals; False if one was refused."""
+        try:
+            numbers = np.array(block, dtype=float)
+        except ValueError:
+            for k, t in enumerate(block):
+                try:
+                    float(t)
+                except ValueError as exc:
+                    faults.append((block_lines[k // width], str(exc)))
+                    break
+            else:
+                raise
+            del block[k - k % width:], block_lines[k // width:]
+            numbers = np.array(block, dtype=float)
+        vals.frombytes(numbers.tobytes())
+        lines.extend(block_lines)
+        block.clear()
+        block_lines.clear()
+        return not faults
+
+    for lineno, tok in _records(path):
+        try:
+            row = parse(tok)
+        except ValueError as exc:
+            faults.append((lineno, str(exc)))
+            break
+        if row is not None:
+            block += row
+            block_lines.append(lineno)
+            if len(block_lines) == BLOCK_LINES and not convert():
+                break
+    convert()  # the rows before a line fault; a number refused there is on an earlier line
+    return vals, lines, faults
 
 
 def _check_rotations(m: np.ndarray) -> None:
@@ -458,43 +520,45 @@ def _raise_first(faults: list[tuple[int, str]]) -> None:
 def load_view_graph(path) -> ViewGraph:
     """Parse the text format written by save_view_graph.
 
-    Rotations off SO(3) by <= 1e-6 are re-projected; beyond that the file is
-    rejected. All edges are checked at once; an error names the first bad
-    line in file order.
+    Each line's structure is checked as it is read (header, record tag, token
+    count, integer ids, vertex range); the numbers are converted once per block
+    of BLOCK_LINES edges (`_read_rows`). Rotations off SO(3) by <= 1e-6 are
+    re-projected; beyond that the file is rejected. All edges are checked at
+    once; an error names the first bad line in file order.
     """
-    n, ids, vals, has_h, lines, faults = None, [], array("d"), [], [], []
-    for lineno, tok in _records(path):
-        try:
-            if tok[0] == "EDGE":
-                if n is None:
-                    raise GraphFormatError("EDGE before VGRAPH header")
-                if len(tok) not in (12, 22) or (len(tok) == 22 and tok[12] != "H"):
-                    raise GraphFormatError("malformed EDGE line")
-                i, j = int(tok[1]), int(tok[2])
-                if not (0 <= i < n and 0 <= j < n):
-                    raise GraphFormatError(f"edge ({i},{j}) outside vertex range [0,{n})")
-                vals.extend(map(float, tok[3:12] + (tok[13:] or ["0"] * 9)))
-                ids.append((i, j))
-                has_h.append(len(tok) == 22)
-                lines.append(lineno)
-            elif tok[0] == "VGRAPH":
-                if len(tok) != 3 or tok[1] != "1":
-                    raise GraphFormatError("bad VGRAPH header")
-                if n is not None:
-                    raise GraphFormatError("second VGRAPH header")
-                count = int(tok[2])
-                if count < 1:
-                    raise GraphFormatError(f"camera count {count} is not positive")
-                n = count
-            else:
-                raise GraphFormatError(f"unknown record {tok[0]!r}")
-        except ValueError as exc:
-            faults.append((lineno, str(exc)))
-            break
+    n, ids, has_h = None, [], []
+
+    def parse(tok):
+        nonlocal n
+        if tok[0] == "EDGE":
+            if n is None:
+                raise GraphFormatError("EDGE before VGRAPH header")
+            if len(tok) not in (12, 22) or (len(tok) == 22 and tok[12] != "H"):
+                raise GraphFormatError("malformed EDGE line")
+            i, j = int(tok[1]), int(tok[2])
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphFormatError(f"edge ({i},{j}) outside vertex range [0,{n})")
+            ids.append((i, j))
+            has_h.append(len(tok) == 22)
+            return tok[3:12] + (tok[13:] or ["0"] * 9)
+        if tok[0] == "VGRAPH":
+            if len(tok) != 3 or tok[1] != "1":
+                raise GraphFormatError("bad VGRAPH header")
+            if n is not None:
+                raise GraphFormatError("second VGRAPH header")
+            count = int(tok[2])
+            if count < 1:
+                raise GraphFormatError(f"camera count {count} is not positive")
+            n = count
+            return None
+        raise GraphFormatError(f"unknown record {tok[0]!r}")
+
+    vals, lines, faults = _read_rows(path, parse, 18)
     if n is None:
         _raise_first(faults)
         raise GraphFormatError("missing VGRAPH header")
-    vals = np.frombuffer(vals, count=18 * len(lines)).reshape(-1, 18)  # drops a half-parsed row
+    del ids[len(lines):], has_h[len(lines):]  # rows past a refused number
+    vals = np.frombuffer(vals).reshape(-1, 18)
     ids = np.reshape(ids, (-1, 2))
     rel, hess = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:].reshape(-1, 3, 3)
     try:
@@ -521,22 +585,24 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def load_rotations(path) -> np.ndarray:
-    """Read a rotation file into an (n, 3, 3) stack; ids must cover 0..n-1."""
-    ids, vals, lines, faults = {}, array("d"), [], []
-    for lineno, tok in _records(path):
-        try:
-            if tok[0] != "ROT" or len(tok) != 11:
-                raise GraphFormatError("malformed ROT line")
-            i = int(tok[1])
-            vals.extend(map(float, tok[2:11]))
-            if i < 0 or i in ids:
-                raise GraphFormatError(f"{'negative' if i < 0 else 'duplicate'} camera id {i}")
-        except ValueError as exc:
-            faults.append((lineno, str(exc)))
-            break
-        ids[i] = len(lines)
-        lines.append(lineno)
-    rot = np.frombuffer(vals, count=9 * len(lines)).reshape(-1, 3, 3)  # drops a half-parsed row
+    """Read a rotation file into an (n, 3, 3) stack; ids must cover 0..n-1.
+
+    Lines are checked and converted as in load_view_graph, a block at a time.
+    """
+    ids = {}
+
+    def parse(tok):
+        if tok[0] != "ROT" or len(tok) != 11:
+            raise GraphFormatError("malformed ROT line")
+        i = int(tok[1])
+        if i < 0 or i in ids:
+            list(map(float, tok[2:11]))  # a refused number is this line's fault, not the id
+            raise GraphFormatError(f"{'negative' if i < 0 else 'duplicate'} camera id {i}")
+        ids[i] = len(ids)
+        return tok[2:11]
+
+    vals, lines, faults = _read_rows(path, parse, 9)
+    rot = np.frombuffer(vals).reshape(-1, 3, 3)
     try:
         _check_rotations(rot)
     except RowError as exc:

@@ -47,7 +47,7 @@ def residual_tangent(rel, r_i, r_j):
 def whitener(h):
     """Upper-triangular D with D^T D = clamped h, undoing the trace normalization."""
     model = _EdgeModel(ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3), h)]), "aniso")
-    return model.dn[0] * model.norm_scale[0]
+    return model.dn[0] * np.sqrt(np.trace(model.h[0]) / 3.0)
 
 
 class TestKernels:

@@ -1,6 +1,7 @@
 """Tests for the view-graph data model, block assembly, trees, and file I/O."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from rotavg import so3
 from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import (
+    BLOCK_LINES,
     SYMMETRY_TOL,
     ConnectionBlocks,
     EdgeMeasurement,
@@ -945,12 +947,17 @@ def fmt(values):
     return " ".join("%.17g" % v for v in np.ravel(values))
 
 
-def vg_lines(rng):
-    """A valid .vg file as lines: header, a comment, then six EDGE lines."""
-    pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
-    return ["VGRAPH 1 6", "# six edges"] + [
-        f"EDGE {i} {j} {fmt(so3.random_rotation(rng))} H {fmt(random_spd(rng))}" for i, j in pairs
-    ]
+def vg_lines(rng, filler=0):
+    """A valid .vg file as lines: header, a comment, `filler` edges from camera 6,
+    every third without a Hessian, then six EDGE lines among cameras 0-5."""
+    six = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+    six = [f"EDGE {i} {j} {fmt(so3.random_rotation(rng))} H {fmt(random_spd(rng))}" for i, j in six]
+    rel = so3.quaternion_rotation(rng.standard_normal((filler, 4)))
+    v = so3.quaternion_rotation(rng.standard_normal((filler, 4)))
+    hess = v * rng.uniform(1.0, 10.0, (filler, 1, 3)) @ np.swapaxes(v, 1, 2)
+    edges = [f"EDGE 6 {7 + k} {fmt(rel[k])}" + (f" H {fmt(hess[k])}" if k % 3 != 2 else "")
+             for k in range(filler)]
+    return [f"VGRAPH 1 {7 + filler if filler else 6}", "# edges"] + edges + six
 
 
 def bad_vg_line(kind, line):
@@ -963,7 +970,7 @@ def bad_vg_line(kind, line):
     elif kind == "non-float":
         tok[5] = "one"
     elif kind == "range":
-        tok[2] = "6"
+        tok[2] = "1000000"
     elif kind == "rot-nan":
         tok[3] = "nan"
     elif kind == "rot-off":
@@ -997,8 +1004,11 @@ VG_FAULTS = {
 }
 
 
-def rot_lines(rng):
-    return [f"ROT {k} {fmt(so3.random_rotation(rng))}" for k in range(6)]
+def rot_lines(rng, filler=0):
+    """ROT lines for cameras 0 to 5 + filler; the last six rotations are drawn first."""
+    six = [so3.random_rotation(rng) for _ in range(6)]
+    rot = [*so3.quaternion_rotation(rng.standard_normal((filler, 4))), *six]
+    return [f"ROT {k} {fmt(r)}" for k, r in enumerate(rot)]
 
 
 def bad_rot_line(kind, line):
@@ -1037,53 +1047,119 @@ def write_with_faults(tmp_path, lines, bad_line, faults):
     return path
 
 
+# Rows ahead of the six lines the fault tests edit: none, or enough to put those six in the
+# third block of BLOCK_LINES rows, after two blocks that convert cleanly.
+FILLERS = (0, 2 * BLOCK_LINES)
+
+
 class TestLoaderNamesFirstBadLine:
     def test_valid_files_load(self, tmp_path):
         rng = np.random.default_rng(30)
-        assert len(load_view_graph(write_with_faults(tmp_path, vg_lines(rng), None, [])).edges) == 6
-        assert load_rotations(write_with_faults(tmp_path, rot_lines(rng), None, [])).shape == (6, 3, 3)
+        for filler in FILLERS:
+            lines = vg_lines(rng, filler)
+            g = load_view_graph(write_with_faults(tmp_path, lines, None, []))
+            assert len(g.edges) == 6 + filler
+            np.testing.assert_array_equal(g.has_hessian, [" H " in line for line in lines[2:]])
+            rot = load_rotations(write_with_faults(tmp_path, rot_lines(rng, filler), None, []))
+            assert rot.shape == (6 + filler, 3, 3)
 
     @pytest.mark.parametrize("kind", VG_FAULTS)
     def test_view_graph_fault(self, tmp_path, kind):
-        path = write_with_faults(tmp_path, vg_lines(np.random.default_rng(31)), bad_vg_line, [(kind, 6)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(GraphFormatError, match=f"line 6: .*{VG_FAULTS[kind]}"):
-                load_view_graph(path)
+        for filler in FILLERS:
+            path = write_with_faults(tmp_path, vg_lines(np.random.default_rng(31), filler), bad_vg_line,
+                                     [(kind, 6 + filler)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GraphFormatError, match=f"line {6 + filler}: .*{VG_FAULTS[kind]}"):
+                    load_view_graph(path)
 
     @pytest.mark.parametrize("kind", ROT_FAULTS)
     def test_rotation_fault(self, tmp_path, kind):
-        path = write_with_faults(tmp_path, rot_lines(np.random.default_rng(32)), bad_rot_line, [(kind, 4)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(GraphFormatError, match=f"line 4: .*{ROT_FAULTS[kind]}"):
-                load_rotations(path)
+        for filler in FILLERS:
+            path = write_with_faults(tmp_path, rot_lines(np.random.default_rng(32), filler), bad_rot_line,
+                                     [(kind, 4 + filler)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GraphFormatError, match=f"line {4 + filler}: .*{ROT_FAULTS[kind]}"):
+                    load_rotations(path)
 
     @pytest.mark.parametrize(
         "first, second",
         [("rot-nan", "malformed"), ("malformed", "rot-nan"), ("indefinite", "rot-off"),
-         ("rot-off", "duplicate"), ("hess-inf", "unknown-record"), ("order", "asymmetric")],
+         ("rot-off", "duplicate"), ("hess-inf", "unknown-record"), ("order", "asymmetric"),
+         ("non-float", "malformed"), ("range", "non-float")],
     )
     def test_view_graph_two_faults_earlier_line(self, tmp_path, first, second):
-        lines = vg_lines(np.random.default_rng(33))
-        path = write_with_faults(tmp_path, lines, bad_vg_line, [(first, 5), (second, 7)])
-        with pytest.raises(GraphFormatError, match=f"line 5: .*{VG_FAULTS[first]}"):
-            load_view_graph(path)
+        """With filler rows, the first fault is in the second block and the second in the third."""
+        for filler in FILLERS:
+            lines = vg_lines(np.random.default_rng(33), filler)
+            faults = [(first, 5 + filler // 2), (second, 7 + filler)]
+            path = write_with_faults(tmp_path, lines, bad_vg_line, faults)
+            with pytest.raises(GraphFormatError, match=f"line {5 + filler // 2}: .*{VG_FAULTS[first]}"):
+                load_view_graph(path)
 
     @pytest.mark.parametrize(
         "first, second",
-        [("rot-nan", "malformed"), ("negative-id", "rot-off"), ("rot-off", "duplicate-id")],
+        [("rot-nan", "malformed"), ("negative-id", "rot-off"), ("rot-off", "duplicate-id"),
+         ("non-float", "negative-id"), ("duplicate-id", "non-float")],
     )
     def test_rotation_two_faults_earlier_line(self, tmp_path, first, second):
-        lines = rot_lines(np.random.default_rng(34))
-        path = write_with_faults(tmp_path, lines, bad_rot_line, [(first, 3), (second, 5)])
-        with pytest.raises(GraphFormatError, match=f"line 3: .*{ROT_FAULTS[first]}"):
+        for filler in FILLERS:
+            lines = rot_lines(np.random.default_rng(34), filler)
+            faults = [(first, 3 + filler // 2), (second, 5 + filler)]
+            path = write_with_faults(tmp_path, lines, bad_rot_line, faults)
+            with pytest.raises(GraphFormatError, match=f"line {3 + filler // 2}: .*{ROT_FAULTS[first]}"):
+                load_rotations(path)
+
+    def test_refused_number_on_a_bad_id_line_is_named(self, tmp_path):
+        """A ROT line with a bad id and a refused number reports the number, as the
+        per-line parser did, which converted the numbers before checking the id."""
+        lines = rot_lines(np.random.default_rng(36))
+        path = write_with_faults(tmp_path, lines, bad_rot_line, [("negative-id", 4), ("non-float", 4)])
+        with pytest.raises(GraphFormatError, match="line 4: could not convert string to float: 'one'"):
             load_rotations(path)
 
     def test_save_is_byte_identical_to_per_edge_format(self, tmp_path):
-        """The writer formats every value with %.17g, as one f-string per edge did."""
-        lines = vg_lines(np.random.default_rng(35))
-        path = write_with_faults(tmp_path, lines, None, [])
-        out = tmp_path / "again.vg"
-        save_view_graph(load_view_graph(path), out)
-        assert out.read_text().splitlines() == [lines[0]] + lines[2:]
+        """The writer formats every value with %.17g, as one f-string per edge did,
+        and the arrays it wrote load back equal, over one block and over three."""
+        for filler in FILLERS:
+            lines = vg_lines(np.random.default_rng(35), filler)
+            g = load_view_graph(write_with_faults(tmp_path, lines, None, []))
+            out = tmp_path / "again.vg"
+            save_view_graph(g, out)
+            assert out.read_text().splitlines() == [lines[0]] + lines[2:]
+            back = load_view_graph(out)
+            for name in ("i_idx", "j_idx", "rel", "hess", "has_hessian"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
+
+
+class TestSaveViewGraph:
+    def test_memory_does_not_grow_with_the_edges(self, tmp_path):
+        """The writer holds one block of lines, not the whole file: its traced peak
+        on eight blocks is under 500 bytes per edge (about 250 measured), where a
+        writer that joins every line first takes about 1.9 KB per edge."""
+        edges = 8 * BLOCK_LINES
+        rng = np.random.default_rng(37)
+        v = so3.quaternion_rotation(rng.standard_normal((edges, 4)))
+        hess = v * rng.uniform(1.0, 10.0, (edges, 1, 3)) @ np.swapaxes(v, 1, 2)
+        rel = so3.quaternion_rotation(rng.standard_normal((edges, 4)))
+        g = ViewGraph.from_arrays(edges + 1, np.zeros(edges, dtype=int), np.arange(1, edges + 1), rel, hess)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_view_graph(g, tmp_path / "big.vg")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * edges
+        assert len((tmp_path / "big.vg").read_text().splitlines()) == edges + 1
+
+    def test_graph_without_cameras_is_refused(self, tmp_path):
+        """The loader refuses a camera count of 0, so the writer does not write one."""
+        path = tmp_path / "empty.vg"
+        with pytest.raises(ValueError, match="0 cameras: the VGRAPH header needs a positive camera count"):
+            save_view_graph(ViewGraph(0), path)
+        assert not path.exists()
+        path.write_text("VGRAPH 1 0\n")
+        with pytest.raises(GraphFormatError, match="line 1: camera count 0 is not positive"):
+            load_view_graph(path)
