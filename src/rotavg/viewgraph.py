@@ -452,16 +452,18 @@ def _records(path):
 def _read_rows(path, parse, width: int):
     """Check each line of a text file with `parse` and convert its numbers a block at a time.
 
-    `parse(tok)` checks one line's tokens and returns its `width` number
-    tokens, or None for a line without numbers; it raises ValueError on a
-    fault. The numbers of BLOCK_LINES rows are converted by one np.array call,
-    which accepts and refuses the strings float() does, with the same message.
+    `parse(tok)` checks one line's tokens and returns (key, its `width` number
+    tokens) for a row, or None for a line without numbers; it raises ValueError
+    on a fault. The key is what the caller keeps of the row besides its numbers.
+    The numbers of BLOCK_LINES rows are converted by one np.array call, which
+    accepts and refuses the strings float() does, with the same message.
     Reading stops at the first fault: a line's, or a refused number's, whose
-    line is found by converting that block one token at a time. Returns the
-    numbers of the rows before the fault as a flat array("d"), the rows' line
-    numbers as an array("q"), and the faults: [] or [(line number, message)].
+    line is found by converting that block one token at a time; rows from that
+    line on are dropped. Returns, for the rows before the fault, their numbers
+    as a flat array("d"), their line numbers as an array("q") and their keys as
+    a list, and the faults: [] or [(line number, message)].
     """
-    vals, lines, faults, block, block_lines = array("d"), array("q"), [], [], []
+    vals, lines, keys, faults, block, block_lines = array("d"), array("q"), [], [], [], []
 
     def convert() -> bool:
         """Move the block's rows before its first refused number into vals; False if one was refused."""
@@ -491,12 +493,14 @@ def _read_rows(path, parse, width: int):
             faults.append((lineno, str(exc)))
             break
         if row is not None:
-            block += row
+            keys.append(row[0])
+            block += row[1]
             block_lines.append(lineno)
             if len(block_lines) == BLOCK_LINES and not convert():
                 break
     convert()  # the rows before a line fault; a number refused there is on an earlier line
-    return vals, lines, faults
+    del keys[len(lines):]  # rows from a refused number's line on
+    return vals, lines, keys, faults
 
 
 def _check_rotations(m: np.ndarray) -> None:
@@ -526,7 +530,7 @@ def load_view_graph(path) -> ViewGraph:
     re-projected; beyond that the file is rejected. All edges are checked at
     once; an error names the first bad line in file order.
     """
-    n, ids, has_h = None, [], []
+    n = None
 
     def parse(tok):
         nonlocal n
@@ -538,9 +542,7 @@ def load_view_graph(path) -> ViewGraph:
             i, j = int(tok[1]), int(tok[2])
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge ({i},{j}) outside vertex range [0,{n})")
-            ids.append((i, j))
-            has_h.append(len(tok) == 22)
-            return tok[3:12] + (tok[13:] or ["0"] * 9)
+            return (i, j, len(tok) == 22), tok[3:12] + (tok[13:] or ["0"] * 9)
         if tok[0] == "VGRAPH":
             if len(tok) != 3 or tok[1] != "1":
                 raise GraphFormatError("bad VGRAPH header")
@@ -553,16 +555,15 @@ def load_view_graph(path) -> ViewGraph:
             return None
         raise GraphFormatError(f"unknown record {tok[0]!r}")
 
-    vals, lines, faults = _read_rows(path, parse, 18)
+    vals, lines, keys, faults = _read_rows(path, parse, 18)
     if n is None:
         _raise_first(faults)
         raise GraphFormatError("missing VGRAPH header")
-    del ids[len(lines):], has_h[len(lines):]  # rows past a refused number
     vals = np.frombuffer(vals).reshape(-1, 18)
-    ids = np.reshape(ids, (-1, 2))
+    keys = np.reshape(keys, (-1, 3))
     rel, hess = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:].reshape(-1, 3, 3)
     try:
-        g = ViewGraph.from_arrays(n, ids[:, 0], ids[:, 1], rel, hess, has_h)
+        g = ViewGraph.from_arrays(n, keys[:, 0], keys[:, 1], rel, hess, keys[:, 2])
     except RowError as exc:
         faults.append((lines[exc.index], str(exc)))
     _raise_first(faults)
@@ -589,19 +590,19 @@ def load_rotations(path) -> np.ndarray:
 
     Lines are checked and converted as in load_view_graph, a block at a time.
     """
-    ids = {}
+    seen = set()
 
     def parse(tok):
         if tok[0] != "ROT" or len(tok) != 11:
             raise GraphFormatError("malformed ROT line")
         i = int(tok[1])
-        if i < 0 or i in ids:
+        if i < 0 or i in seen:
             list(map(float, tok[2:11]))  # a refused number is this line's fault, not the id
             raise GraphFormatError(f"{'negative' if i < 0 else 'duplicate'} camera id {i}")
-        ids[i] = len(ids)
-        return tok[2:11]
+        seen.add(i)
+        return i, tok[2:11]
 
-    vals, lines, faults = _read_rows(path, parse, 9)
+    vals, lines, ids, faults = _read_rows(path, parse, 9)
     rot = np.frombuffer(vals).reshape(-1, 3, 3)
     try:
         _check_rotations(rot)
@@ -610,7 +611,7 @@ def load_rotations(path) -> np.ndarray:
     _raise_first(faults)
     if not ids:
         raise GraphFormatError("empty rotation file")
-    missing = sorted(set(range(max(ids) + 1)) - set(ids))
+    missing = sorted(set(range(max(ids) + 1)) - seen)
     if missing:
         raise GraphFormatError(f"missing camera ids {missing}")
-    return rot[[ids[i] for i in range(len(ids))]]
+    return rot[np.argsort(ids)]
