@@ -9,13 +9,16 @@ halved on cost increase so the robust cost trace is non-increasing.
 
 Every per-edge and per-camera quantity is computed as array code: residuals
 and the retraction use the stacked SO(3) maps, the Hessians are clamped and
-whitened in one batched call each. Each refinement builds the block
-pattern of its normal equations once (the BSR structure, the slot of each
-edge's two coupling blocks and the edge-camera incidence), and each
-iteration only refills the block values. The system is solved by conjugate
-gradients with a block-Jacobi (inverted 3x3 diagonal block) preconditioner,
-after Agarwal et al., "Bundle Adjustment in the Large" (ECCV 2010), with a
-direct sparse solve as fallback. In iso mode every precision is the
+whitened in one batched call each. The per-edge kernels of an iteration run
+one edge block (`viewgraph.edge_blocks`) at a time and write into the arrays
+they return, so their temporaries do not grow with the edge count; only the
+residuals' `so3.log_so3` runs once over all edges, for its fixed cost. Each
+refinement builds the block pattern of its normal equations once (the BSR
+structure, the slot of each edge's two coupling blocks and the edge-camera
+incidence), and each iteration only refills the block values. The system is
+solved by conjugate gradients with a block-Jacobi (inverted 3x3 diagonal
+block) preconditioner, after Agarwal et al., "Bundle Adjustment in the Large"
+(ECCV 2010), with a direct sparse solve as fallback. In iso mode every precision is the
 identity and the system is L_w kron I3: the slots hold the scalar weighted
 Laplacian L_w, solved for three right-hand-side columns with a 1/diagonal
 preconditioner. The ACD Newton step (`solver.newton_system`) fills the same
@@ -36,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .viewgraph import ViewGraph, clamp_psd, write_csv
+from .viewgraph import ViewGraph, blockwise, clamp_psd, edge_blocks, write_csv
 
 DEFAULT_TAU_DEG = 5.0
 MAX_OUTER_ITERS = 50
@@ -108,22 +111,40 @@ class _EdgeModel:
 
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""
-        rj_t = np.swapaxes(r[self.j_idx], 1, 2)
-        return so3.log_so3(rj_t @ self.rel @ r[self.i_idx])
+        def block(e):
+            return np.swapaxes(r[self.j_idx[e]], 1, 2) @ self.rel[e] @ r[self.i_idx[e]]
+
+        # One log_so3 call over all edges: its fixed cost per call exceeds a block's products.
+        return so3.log_so3(blockwise(len(self.i_idx), block, (3, 3)))
 
     def whitened_norms(self, r: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         """|Dn eps| per edge, eps the residual rotated back to the edge frame."""
         if self.mode == "iso":
             return np.linalg.norm(omegas, axis=1)
-        eps = np.einsum("eab,eb->ea", r[self.i_idx], omegas)
-        return np.linalg.norm(np.einsum("eab,eb->ea", self.dn, eps), axis=1)
 
-    def effective_precisions(self, r: np.ndarray) -> np.ndarray | None:
-        """R_i^T H R_i per edge, the residual's precision at the iterate; None in iso (identity)."""
-        if self.mode == "iso":
-            return None
-        ri = r[self.i_idx]
-        return np.transpose(ri, (0, 2, 1)) @ self.h @ ri
+        def block(e):
+            eps = np.einsum("eab,eb->ea", r[self.i_idx[e]], omegas[e])
+            return np.linalg.norm(np.einsum("eab,eb->ea", self.dn[e], eps), axis=1)
+
+        return blockwise(len(omegas), block)
+
+    def effective_precisions(self, r: np.ndarray) -> _EffectivePrecisions | None:
+        """R_i^T H R_i per edge, the residual's precision at the iterate, formed
+        for the edges of a slice when sliced; None in iso (identity)."""
+        return None if self.mode == "iso" else _EffectivePrecisions(self, r)
+
+
+class _EffectivePrecisions:
+    """`_EdgeModel.effective_precisions`: `[e]` gives the (len(e), 3, 3) stack for
+    the edges of slice e, so a consumer that takes one edge block at a time
+    (`_NormalPattern.assemble`) never holds the stack of every edge."""
+
+    def __init__(self, model: _EdgeModel, r: np.ndarray):
+        self.model, self.r = model, r
+
+    def __getitem__(self, e: slice) -> np.ndarray:
+        ri = self.r[self.model.i_idx[e]]
+        return np.transpose(ri, (0, 2, 1)) @ self.model.h[e] @ ri
 
 
 class _NormalPattern:
@@ -154,47 +175,67 @@ class _NormalPattern:
         order = np.argsort(rows.astype(np.int64) * m + cols)  # keys are unique
         slot = np.empty_like(order)
         slot[order] = np.arange(len(order))
-        self.m, self.diag_slot = m, slot[:m]
-        # Slots of each edge's (i, j) and (j, i) blocks; an edge at a pinned camera has none
-        # and writes both to a spare slot past the end, so no edge subset is copied.
-        self.upper_slot, self.lower_slot = np.full((2, len(fj)), len(order))
+        self.m, self.diag_slot = m, slot[:m].copy()  # a view would keep all of `slot`
+        # Slots of each edge's (i, j) and (j, i) blocks. An edge at a pinned camera has
+        # neither block: it writes both to a spare slot of its own past the end, which
+        # the matrix leaves out and `cover` reads.
+        self.upper_slot, self.lower_slot = np.full((2, len(fj)), len(order), dtype=np.int32)
         self.upper_slot[free], self.lower_slot[free] = slot[m:m + len(a)], slot[m + len(a):]
+        pinned = np.flatnonzero(fi < 0)
+        self.upper_slot[pinned] = self.lower_slot[pinned] = len(order) + np.arange(len(pinned))
+        self.slots = len(order) + len(pinned)  # rows of a system's data array
         # int32, as scipy would otherwise convert them on every build.
         self.indices = cols[order].astype(np.int32)
         self.indptr = np.searchsorted(rows[order], np.arange(m + 1)).astype(np.int32)
-        # Signed edge -> camera incidence: -1 at a free camera i, +1 at j.
-        edge = np.concatenate([free, np.arange(len(fj))])
-        sign = np.concatenate([-np.ones(len(a)), np.ones(len(fj))])
-        self.incidence = sp.csr_matrix((sign, (np.concatenate([a, fj]), edge)), shape=(m, len(fj)))
-        self.cover = abs(self.incidence)
+        # Signed edge -> camera incidence, -1 at a free camera i and +1 at j, written
+        # edge by edge as the columns of a CSC matrix; its CSR conversion keeps each
+        # row's edges in order, so no sort is needed.
+        ends = np.stack([fi, fj], axis=1).ravel()
+        kept = ends >= 0
+        self.incidence = sp.csc_matrix(
+            (np.tile([-1.0, 1.0], len(fj))[kept], ends[kept].astype(np.int32),
+             np.concatenate([[0], np.cumsum(1 + (fi >= 0))]).astype(np.int32)),
+            shape=(m, len(fj))).tocsr()
+        # Per free camera, the sum of its edges' lower-slot blocks in edge order, the order
+        # in which the incidence sums edge values: cover @ data sums the blocks a system wrote.
+        self.cover = sp.csr_matrix((np.abs(self.incidence.data), self.lower_slot[self.incidence.indices],
+                                    self.incidence.indptr), shape=(m, self.slots))
         # Every matrix built from the pattern shares these arrays.
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        for index_array in (self.indices, self.indptr, self.cover.indices, self.cover.indptr):
+            index_array.flags.writeable = False
 
-    def matrix(self, diag: np.ndarray, upper: np.ndarray, lower: np.ndarray):
-        """The matrix with these diagonal blocks and, per edge e, block `upper[e]`
-        at (i, j) and `lower[e]` at (j, i); BSR, or m x m CSR for scalar blocks."""
-        data = np.empty((len(self.indices) + 1,) + diag.shape[1:])
+    def matrix(self, data: np.ndarray, diag: np.ndarray):
+        """The matrix of `data`'s slots, with `diag` written into its diagonal slots;
+        BSR, or m x m CSR for scalar blocks."""
         data[self.diag_slot] = diag
-        data[self.upper_slot] = np.ascontiguousarray(upper)  # scatters faster than a strided view
-        data[self.lower_slot] = lower
         fmt, size = (sp.csr_matrix, self.m) if diag.ndim == 1 else (sp.bsr_matrix, 3 * self.m)
-        return fmt((data[:-1], self.indices, self.indptr), shape=(size, size))
+        return fmt((data[:len(self.indices)], self.indices, self.indptr), shape=(size, size))
 
-    def assemble(self, weights: np.ndarray, precisions: np.ndarray | None, omegas: np.ndarray):
+    def assemble(self, weights: np.ndarray, precisions, omegas: np.ndarray):
         """(A, rhs, diagonal) of the system for these edge values.
 
-        Without precisions (iso), A is the m x m CSR weighted Laplacian,
-        rhs has one column per tangent axis and the diagonal is a vector.
+        The blocks -w_e P_e are written into the slots one edge block at a
+        time, each reading its `precisions[e]` (see `solve_normal_equations`).
+        Without precisions (iso), A is the m x m CSR weighted Laplacian, rhs
+        has one column per tangent axis and the diagonal is a vector.
         """
-        m, w = self.m, np.asarray(weights, dtype=float)
-        if precisions is None:
-            wh, diag, rhs = w, self.cover @ w, self.incidence @ (w[:, None] * omegas)
+        w = np.asarray(weights, dtype=float)
+        if precisions is None:  # one scalar per edge: no stack to bound
+            data = np.empty(self.slots)
+            data[self.upper_slot] = data[self.lower_slot] = -w
+            wp_omega = w[:, None] * omegas
         else:
-            wh = w[:, None, None] * precisions
-            diag = (self.cover @ wh.reshape(-1, 9)).reshape(m, 3, 3)
-            rhs = (self.incidence @ np.einsum("eab,eb->ea", wh, omegas)).ravel()
-        coupling = -wh
-        return self.matrix(diag, coupling, coupling), rhs, diag
+            data, wp_omega = np.empty((self.slots, 3, 3)), np.empty((len(w), 3))
+            for e in edge_blocks(len(w)):
+                wh = w[e, None, None] * precisions[e]
+                wp_omega[e] = np.einsum("eab,eb->ea", wh, omegas[e])
+                data[self.upper_slot[e]] = data[self.lower_slot[e]] = -wh
+        # The slots hold -w P: 0.0 - sum is the sum of the w P bit for bit, a zero sum as +0.0.
+        diag = 0.0 - self.cover @ (data if precisions is None else data.reshape(self.slots, 9))
+        rhs = self.incidence @ wp_omega
+        if precisions is not None:
+            diag, rhs = diag.reshape(self.m, 3, 3), rhs.ravel()
+        return self.matrix(data, diag), rhs, diag
 
 
 def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None,
@@ -228,12 +269,13 @@ def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = 
 def solve_normal_equations(
     pattern: _NormalPattern,
     weights: np.ndarray,
-    precisions: np.ndarray | None,
+    precisions,
     omegas: np.ndarray,
 ) -> np.ndarray:
     """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
-    `precisions` holds D_e^T D_e per edge. The smallest camera of each
+    `precisions` holds D_e^T D_e per edge: an (E, 3, 3) array, or anything whose
+    `[e]` gives those rows for a slice e of edges. The smallest camera of each
     component is pinned (its delta is 0); the returned (n, 3) step includes
     the pinned zero rows. Each call fills
     the blocks -w_e P_e and the diagonal sums into `pattern` and solves by

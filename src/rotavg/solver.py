@@ -20,7 +20,7 @@ import numpy as np
 
 from . import so3
 from .robust import _NormalPattern, block_jacobi_cg
-from .viewgraph import ConnectionBlocks, check_count, write_csv
+from .viewgraph import ConnectionBlocks, blockwise, check_count, edge_blocks, write_csv
 
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_OBJECTIVE_TOL = 1e-12
@@ -78,10 +78,13 @@ def objective(nb: ConnectionBlocks, r: np.ndarray) -> float:
     """
     if nb.num_edges == 0:
         return 0.0
-    # R_i^T gathered into contiguous blocks makes the stacked matmul about
-    # 3x faster than on a transposed view, with the same result.
-    ri_t = np.transpose(r, (0, 2, 1)).take(nb.i_idx, axis=0)
-    prod = r.take(nb.j_idx, axis=0) @ ri_t
+    # R_j R_i^T is formed one edge block at a time; the sum stays one einsum over
+    # all edges, whose summation order a blocked sum would change. R_i^T gathered
+    # into contiguous blocks makes the stacked matmul about 3x faster than on a
+    # transposed view, with the same result.
+    r_t = np.ascontiguousarray(np.transpose(r, (0, 2, 1)))
+    prod = blockwise(nb.num_edges, lambda e: r.take(nb.j_idx[e], axis=0) @ r_t.take(nb.i_idx[e], axis=0),
+                     (3, 3))
     return -2.0 * float(np.einsum("eab,eab->", nb.lower, prod))
 
 
@@ -117,18 +120,20 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
     B12 - B21), the gradient gains 2a at i and -2a at j, and the Hessian gains
     2B^T at block (i, j), 2B at (j, i), and -(B + B^T) at (i, i) and (j, j).
     """
-    b = np.empty_like(nb.lower)
-    for start in range(0, len(b), 4096):  # in blocks: no edge-sized temporaries
-        e = slice(start, start + 4096)
-        ri, rj = r.take(nb.i_idx[e], axis=0), r.take(nb.j_idx[e], axis=0)
-        np.matmul(np.swapaxes(nb.lower[e] @ ri, 1, 2), rj, out=b[e])
+    data, a = np.empty((pattern.slots, 3, 3)), np.empty((nb.num_edges, 3))
     diagonal = np.arange(3)
-    b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
-    diag = (pattern.cover @ b.reshape(-1, 9)).reshape(-1, 3, 3)
+    for e in edge_blocks(nb.num_edges):  # written into the slots: no edge-sized temporaries
+        ri, rj = r.take(nb.i_idx[e], axis=0), r.take(nb.j_idx[e], axis=0)
+        b = np.swapaxes(nb.lower[e] @ ri, 1, 2) @ rj
+        b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
+        b *= 2.0
+        a[e] = b[:, [1, 2, 0], [2, 0, 1]] - b[:, [2, 0, 1], [1, 2, 0]]
+        data[pattern.upper_slot[e]] = np.ascontiguousarray(np.swapaxes(b, 1, 2))  # scatters faster
+        data[pattern.lower_slot[e]] = b
+    # The slots hold 2B: halving their sums is exact, so diag is that of the sums of B.
+    diag = 0.5 * (pattern.cover @ data.reshape(-1, 9)).reshape(-1, 3, 3)
     diag = -(diag + np.swapaxes(diag, 1, 2))
-    b *= 2.0
-    rhs = pattern.incidence @ (b[:, [1, 2, 0], [2, 0, 1]] - b[:, [2, 0, 1], [1, 2, 0]])
-    return pattern.matrix(diag, np.swapaxes(b, 1, 2), b), rhs.ravel(), diag
+    return pattern.matrix(data, diag), (pattern.incidence @ a).ravel(), diag
 
 
 def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> np.ndarray | None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .viewgraph import ViewGraph, check_count
+from .viewgraph import ViewGraph, blockwise, check_count, edge_blocks
 
 EIGENVALUE_LOWER_LO = 10.0
 EIGENVALUE_LOWER_HI = 100.0
@@ -144,17 +144,19 @@ def apply_noise(
 
 def _scene_graph(n: int, gt, i, j, noise_scale: float, rng) -> ViewGraph:
     """The graph on edges (i, j): every edge's draws in the module's draw order,
-    two generator calls per edge, then the law's arithmetic stacked."""
-    u, g = np.empty((len(i), 5)), np.empty((len(i), 4 if noise_scale == 0.0 else 7))
-    for uk, gk in zip(u, g):
-        rng.random(out=uk)
-        rng.standard_normal(out=gk)
-    # rel before hess: 3 MB less peak RSS over three n=2000 scenes (glibc heap layout)
-    rel = gt[j] @ np.swapaxes(gt[i], 1, 2)
-    hess = _compose(so3.quaternion_rotation(g[:, :4]), _eigenvalues(u))
-    if noise_scale != 0.0:
-        rel = _noisy(rel, hess, g[:, 4:], noise_scale)
-    return ViewGraph.from_arrays(n, i, j, rel, hess)
+    two generator calls per edge, then the law's arithmetic stacked, one edge
+    block at a time into the arrays the graph keeps."""
+    rel, hess = np.empty((len(i), 3, 3)), np.empty((len(i), 3, 3))
+    for e in edge_blocks(len(i)):
+        u, g = np.empty((len(i[e]), 5)), np.empty((len(i[e]), 4 if noise_scale == 0.0 else 7))
+        for uk, gk in zip(u, g):
+            rng.random(out=uk)
+            rng.standard_normal(out=gk)
+        rel[e] = gt[j[e]] @ np.swapaxes(gt[i[e]], 1, 2)
+        hess[e] = _compose(so3.quaternion_rotation(g[:, :4]), _eigenvalues(u))
+        if noise_scale != 0.0:
+            rel[e] = _noisy(rel[e], hess[e], g[:, 4:], noise_scale)
+    return ViewGraph._adopt(n, i, j, rel, hess)
 
 
 def _loop_scene(spec: SceneSpec, rng: np.random.Generator) -> SyntheticScene:
@@ -206,11 +208,14 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
 
 
 def perturbed_graph(scene: SyntheticScene, sigma_deg: float, gamma: float, seed: int) -> ViewGraph:
-    """Copy of the scene graph with every edge Hessian perturbed: one stacked
-    eigendecomposition, then perturb_hessian's draws edge by edge."""
+    """Copy of the scene graph with every edge Hessian perturbed: per edge block,
+    one stacked eigendecomposition, then perturb_hessian's draws edge by edge."""
     rng = np.random.default_rng(seed)
     g = scene.graph
-    lam, v = np.linalg.eigh(g.hessian_stack())
-    x, u = _perturb_draws(len(lam), sigma_deg, gamma, rng)
-    hess = _perturbed(lam, v, x, u, sigma_deg, gamma)
+
+    def block(e):  # the blocks run in order, so the draws stay edge by edge
+        lam, v = np.linalg.eigh(g.hess[e])
+        return _perturbed(lam, v, *_perturb_draws(len(lam), sigma_deg, gamma, rng), sigma_deg, gamma)
+
+    hess = blockwise(len(g.hessian_stack()), block, (3, 3))
     return ViewGraph.from_arrays(g.n, g.i_idx, g.j_idx, g.rel, hess)

@@ -28,6 +28,11 @@ _CHOLESKY_MAX = 1e6  # _not_psd's verdicts measured equal to eigvalsh's up to he
 FLOAT_FMT = "%.17g"
 _MATRIX_FMT = " ".join([FLOAT_FMT] * 9)  # one 3x3 matrix, row-major
 BLOCK_LINES = 1024  # rows per float conversion on load, lines per write on save
+# Edges per block of a streamed per-edge computation (`edge_blocks`): its temporaries
+# take O(EDGE_BLOCK) memory, and only the arrays it fills grow with the edge count.
+# A (1024, 3, 3) temporary is 72 KiB. With 4096-edge blocks, the solves of the
+# benchmark's 5000-edge workloads took 8-10x the minor page faults they take with 1024.
+EDGE_BLOCK = 1024
 
 
 class GraphFormatError(ValueError):
@@ -67,11 +72,32 @@ def check_count(value, name: str, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _endpoints(x) -> np.ndarray:
+def edge_blocks(count: int):
+    """Slices of consecutive edges that cover range(count), in order: EDGE_BLOCK edges
+    each, but the last takes a remainder of less than EDGE_BLOCK / 2 as well. So a
+    graph of up to 1.5 EDGE_BLOCK edges is one block and pays no per-block calls."""
+    blocks = max(1, (count + EDGE_BLOCK // 2) // EDGE_BLOCK)  # count / EDGE_BLOCK, rounded
+    bounds = [k * EDGE_BLOCK for k in range(blocks)] + [count]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def blockwise(count: int, kernel, shape: tuple = ()) -> np.ndarray:
+    """kernel(e) for each slice e of `edge_blocks(count)`, stacked into one (count, *shape)
+    array; a lone block's result is returned as it is, without a copy."""
+    blocks = edge_blocks(count)
+    if len(blocks) == 1:
+        return kernel(blocks[0])
+    out = np.empty((count,) + shape)
+    for e in blocks:
+        out[e] = kernel(e)
+    return out
+
+
+def _endpoints(x, copy: bool = True) -> np.ndarray:
     x = np.asarray(x).reshape(-1)
     if x.size and x.dtype.kind not in "iu":
         raise ValueError(f"edge endpoints must be integers, got dtype {x.dtype}")
-    return x.astype(np.intp)
+    return x.astype(np.intp) if copy else np.ascontiguousarray(x, dtype=np.intp)
 
 
 def _not_psd(h: np.ndarray) -> np.ndarray:
@@ -101,42 +127,57 @@ def _check_edges(i, j, rel, hess, n=None):
     `so3.rotation_defect` (at most OFF_MANIFOLD_TOL), vertex range and
     duplicates. The earliest failing edge is reported with the first check it
     fails. A zero `hess` row, which stands for an edge without a Hessian, passes.
+
+    The checks run over `edge_blocks`, in order, so the first block with a
+    fault holds the earliest failing edge; only the duplicate mask, on the
+    integer endpoints, is formed for all edges at once.
     """
-    every, at, defect = np.ones(len(i), dtype=bool), "edge ({i},{j})", None
-    rel_shape, h_shape = rel.shape[1:], hess.shape[1:]
-    checks = [(i == j, "self-edge at vertex {i}"), (i > j, at + " not in canonical i<j order")]
-    if rel_shape != (3, 3):
-        checks.append((every, at + ": relative rotation has shape {rel}, expected (3, 3)"))
-    else:
-        checks.append((~np.isfinite(rel).all(axis=(1, 2)), at + ": relative rotation not finite"))
-    if h_shape != (3, 3):
-        checks.append((every, at + ": Hessian has shape {hess}, expected (3, 3)"))
-    else:
-        finite = np.isfinite(hess).all(axis=(1, 2))
-        h = hess if finite.all() else np.where(finite[:, None, None], hess, 0.0)  # no inf - inf
-        skew = h - np.swapaxes(h, 1, 2)
-        checks += [
-            (~finite, at + ": Hessian not finite"),
-            (np.einsum("eab,eab->e", skew, skew) > SYMMETRY_TOL**2, at + ": Hessian not symmetric"),
-            (_not_psd(h), at + ": Hessian not PSD"),
-        ]
+    rel_shape, h_shape, defect, at = rel.shape[1:], hess.shape[1:], None, "edge ({i},{j})"
     if n is not None:
-        defect = so3.rotation_defect(rel) if rel_shape == (3, 3) else np.full(len(i), np.inf)
-        order = np.lexsort((j, i))  # stable: a repeat sorts after its first occurrence
-        repeat = np.zeros_like(every)
-        repeat[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
-        outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
-        off = f": relative rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} (defect {{defect:.3g}})"
-        checks.append((~(defect <= OFF_MANIFOLD_TOL), at + off))  # NaN fails too
-        checks.append((outside, at + " outside vertex range [0,{n})"))
-        checks.append((repeat, "duplicate " + at))
-    bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(i))
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        message = checks[int(np.argmax(bad[:, k]))][1]
-        raise RowError(k, message.format(i=i[k], j=j[k], n=n, rel=rel_shape, hess=h_shape,
-                                         defect=None if defect is None else defect[k]))
+        defect = np.full(len(i), np.inf) if rel_shape != (3, 3) else np.empty(len(i))
+        repeat = _repeats(i, j)
+    for e in edge_blocks(len(i)):
+        ib, jb, every = i[e], j[e], np.ones(len(i[e]), dtype=bool)
+        checks = [(ib == jb, "self-edge at vertex {i}"), (ib > jb, at + " not in canonical i<j order")]
+        if rel_shape != (3, 3):
+            checks.append((every, at + ": relative rotation has shape {rel}, expected (3, 3)"))
+        else:
+            checks.append((~np.isfinite(rel[e]).all(axis=(1, 2)), at + ": relative rotation not finite"))
+        if h_shape != (3, 3):
+            checks.append((every, at + ": Hessian has shape {hess}, expected (3, 3)"))
+        else:
+            finite = np.isfinite(hess[e]).all(axis=(1, 2))
+            h = hess[e] if finite.all() else np.where(finite[:, None, None], hess[e], 0.0)  # no inf - inf
+            skew = h - np.swapaxes(h, 1, 2)
+            checks += [
+                (~finite, at + ": Hessian not finite"),
+                (np.einsum("eab,eab->e", skew, skew) > SYMMETRY_TOL**2, at + ": Hessian not symmetric"),
+                (_not_psd(h), at + ": Hessian not PSD"),
+            ]
+        if n is not None:
+            if rel_shape == (3, 3):
+                defect[e] = so3.rotation_defect(rel[e])
+            outside = (ib < 0) | (ib >= n) | (jb < 0) | (jb >= n)
+            off = f": relative rotation off SO(3) beyond {OFF_MANIFOLD_TOL:g} (defect {{defect:.3g}})"
+            checks.append((~(defect[e] <= OFF_MANIFOLD_TOL), at + off))  # NaN fails too
+            checks.append((outside, at + " outside vertex range [0,{n})"))
+            checks.append((repeat[e], "duplicate " + at))
+        bad = np.array([mask for mask, _ in checks]).reshape(len(checks), len(ib))
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            message = checks[int(np.argmax(bad[:, k]))][1]
+            raise RowError(e.start + k, message.format(
+                i=ib[k], j=jb[k], n=n, rel=rel_shape, hess=h_shape,
+                defect=None if defect is None else defect[e][k]))
     return defect
+
+
+def _repeats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Mask of the edges whose (i, j) an earlier edge has."""
+    order = np.lexsort((j, i))  # stable: a repeat sorts after its first occurrence
+    repeat = np.zeros(len(i), dtype=bool)
+    repeat[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    return repeat
 
 
 def _reproject(m: np.ndarray, defect: np.ndarray) -> None:
@@ -222,13 +263,23 @@ class ViewGraph(_Connectivity):
         g._store(n, i, j, rel, hess, has_hessian)
         return g
 
-    def _store(self, n, i, j, rel, hess, has_h):
+    @classmethod
+    def _adopt(cls, n: int, i, j, rel, hess=None, has_hessian=None) -> ViewGraph:
+        """`from_arrays` for arrays the caller hands over and never uses again:
+        those already C-contiguous in the stored dtype are kept, not copied,
+        and may be re-projected in place and made read-only."""
+        g = cls.__new__(cls)
+        g._store(n, i, j, rel, hess, has_hessian, copy=False)
+        return g
+
+    def _store(self, n, i, j, rel, hess, has_h, copy=True):
         check_count(n, "number of cameras n", minimum=0)
-        self.n, self.i_idx, self.j_idx = n, _endpoints(i), _endpoints(j)
-        self.rel = np.array(rel, dtype=float)
-        self.hess = np.zeros((len(self.i_idx), 3, 3)) if hess is None else np.array(hess, dtype=float)
+        own = np.array if copy else np.ascontiguousarray
+        self.n, self.i_idx, self.j_idx = n, _endpoints(i, copy), _endpoints(j, copy)
+        self.rel = own(rel, dtype=float)
+        self.hess = np.zeros((len(self.i_idx), 3, 3)) if hess is None else own(hess, dtype=float)
         has_h = np.full(len(self.i_idx), hess is not None) if has_h is None else has_h
-        self.has_hessian = np.array(has_h, dtype=bool)
+        self.has_hessian = own(has_h, dtype=bool)
         arrays = [self.i_idx, self.j_idx, self.rel, self.has_hessian, self.hess]
         if len({len(a) for a in arrays}) > 1:
             raise ValueError(f"edge arrays disagree in length: {[len(a) for a in arrays]}")
@@ -236,7 +287,8 @@ class ViewGraph(_Connectivity):
             k = int(np.argmax(self.has_hessian))
             at = f"edge ({self.i_idx[k]},{self.j_idx[k]})"
             raise RowError(k, at + " is marked as having a Hessian, but hess is None")
-        self.hess[~self.has_hessian] = 0.0
+        if not self.has_hessian.all():
+            self.hess[~self.has_hessian] = 0.0
         _reproject(self.rel, _check_edges(self.i_idx, self.j_idx, self.rel, self.hess, n))
         for a in arrays:
             a.flags.writeable = False
@@ -282,6 +334,11 @@ def anisotropic_weight(h: np.ndarray) -> np.ndarray:
     skew = h - np.swapaxes(h, -1, -2)  # the rule of _check_edges: |skew|_F <= SYMMETRY_TOL
     if np.any(np.einsum("...ab,...ab->...", skew, skew) > SYMMETRY_TOL**2):
         raise ValueError("Hessian not symmetric within tolerance")
+    return _chordal_weight(h)
+
+
+def _chordal_weight(h: np.ndarray) -> np.ndarray:
+    """0.5*tr(h)*I - h over leading axes, unchecked."""
     return 0.5 * np.trace(h, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - h
 
 
@@ -334,25 +391,42 @@ class ConnectionBlocks(_Connectivity):
         """
         if self._tables is not None:
             return self._tables
+        from scipy.sparse import csc_matrix
+
         n, num = self.n, self.num_edges
         # G_k = sum_m N_{m,k}^T R_m: N_{j,i}^T at vertex i, N_{i,j}^T = N_{j,i} at vertex j.
-        vert = np.concatenate([self.i_idx, self.j_idx])
-        order = np.argsort(vert * num + np.concatenate([np.arange(num)] * 2))  # unique keys
+        # Entry t < num is edge t at its i end, entry num + t edge t at its j end. Listed edge
+        # by edge as the columns of a CSC matrix, the entries' CSR conversion counts them out
+        # by vertex in edge order, without a sort.
+        by_vertex = csc_matrix((np.arange(2 * num).reshape(2, num).T.ravel(),
+                                np.stack([self.i_idx, self.j_idx], axis=1).ravel(),
+                                np.arange(0, 2 * num + 1, 2)), shape=(n, num)).tocsr()
+        order, start, deg = by_vertex.data, by_vertex.indptr[:-1], np.diff(by_vertex.indptr)
         nbrs = np.concatenate([self.j_idx, self.i_idx])
-        rows = np.concatenate([np.swapaxes(self.lower, 1, 2), self.lower]).reshape(-1, 3)
-        deg = np.bincount(vert, minlength=n)
-        start = np.cumsum(deg) - deg
         fortran = np.bincount(self.j_idx, minlength=n) == 0
         # One gather per degree and layout; `at` holds each vertex's entries in edge order.
         group_key = 2 * deg + fortran
         by_key = np.argsort(group_key, kind="stable")
         indices, coeffs = [None] * n, [None] * n
         for vs in np.split(by_key, np.flatnonzero(np.diff(group_key[by_key])) + 1) if n else []:
-            at = order[start[vs][:, None] + np.arange(deg[vs[0]])]
+            d = deg[vs[0]]
+            at = order[start[vs][:, None] + np.arange(d)]
             if fortran[vs[0]]:  # every block is N_{j,k}^T: F order holds the lower blocks
                 group = [c.T for c in self.lower.take(at, axis=0).reshape(len(vs), -1, 3)]
-            else:  # row a of coeffs[k] is row a of each block
-                group = rows.take(3 * at[:, None] + np.arange(3)[:, None], axis=0)
+            else:  # row a of coeffs[k] is row a of each block, gathered EDGE_BLOCK entries at a time
+                group = np.empty((len(vs), 3, d, 3))
+                step = max(1, EDGE_BLOCK // d)
+                for c in range(0, len(vs), step):
+                    t = at[c:c + step].ravel()
+                    i_end = t < num
+                    # The chunk's blocks as rows, the transposed ones of its i ends first.
+                    rows = np.concatenate([np.swapaxes(self.lower.take(t[i_end], axis=0), 1, 2),
+                                           self.lower.take(t[~i_end] - num, axis=0)]).reshape(-1, 3)
+                    first, ends_i = np.empty(len(t), dtype=np.intp), np.count_nonzero(i_end)
+                    first[i_end], first[~i_end] = np.arange(ends_i), np.arange(ends_i, len(t))
+                    # Into `group` directly: with mode="clip" (the rows exist) take needs no buffer.
+                    rows.take(3 * first.reshape(-1, 1, d) + np.arange(3)[:, None], axis=0,
+                              out=group[c:c + step], mode="clip")
                 group = group.reshape(len(vs), 3, -1)
             for k, nbr, c in zip(vs.tolist(), nbrs[at], group):
                 indices[k], coeffs[k] = nbr, c
@@ -368,7 +442,10 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
     """
     if mode not in ("iso", "aniso"):
         raise ValueError(f"unknown mode {mode!r}")
-    lower = anisotropic_weight(g.hessian_stack()) @ g.rel if mode == "aniso" else g.rel
+    if mode == "iso":
+        return ConnectionBlocks(g.n, g.i_idx, g.j_idx, g.rel)
+    h = g.hessian_stack()  # symmetric: the graph's validator checked it
+    lower = blockwise(len(h), lambda e: _chordal_weight(h[e]) @ g.rel[e], (3, 3))
     return ConnectionBlocks(g.n, g.i_idx, g.j_idx, lower)
 
 
@@ -563,7 +640,7 @@ def load_view_graph(path) -> ViewGraph:
     keys = np.reshape(keys, (-1, 3))
     rel, hess = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:].reshape(-1, 3, 3)
     try:
-        g = ViewGraph.from_arrays(n, keys[:, 0], keys[:, 1], rel, hess, keys[:, 2])
+        g = ViewGraph._adopt(n, keys[:, 0], keys[:, 1], rel, hess, keys[:, 2])
     except RowError as exc:
         faults.append((lines[exc.index], str(exc)))
     _raise_first(faults)

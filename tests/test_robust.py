@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rotavg import robust, so3
 from rotavg.robust import (
@@ -315,7 +316,8 @@ class TestNormalEquations:
 
 def lexsort_pattern(g):
     """(indices, indptr, diag_slot, upper_slot, lower_slot) of the free-camera block
-    pattern, slots ordered by np.lexsort on (row, column)."""
+    pattern, slots ordered by np.lexsort on (row, column); each edge at the pinned
+    camera 0 gets a spare slot of its own past the end, in edge order."""
     m = g.n - 1
     fi, fj = g.i_idx - 1, g.j_idx - 1
     free = np.flatnonzero(fi >= 0)
@@ -326,6 +328,7 @@ def lexsort_pattern(g):
     slot[order] = np.arange(len(order))
     upper, lower = np.full((2, len(fj)), len(order))
     upper[free], lower[free] = slot[m:m + len(free)], slot[m + len(free):]
+    upper[fi < 0] = lower[fi < 0] = len(order) + np.arange(np.count_nonzero(fi < 0))
     indptr = np.searchsorted(rows[order], np.arange(m + 1))
     return cols[order], indptr, slot[:m], upper, lower
 
@@ -341,7 +344,33 @@ class TestNormalPattern:
                pattern.lower_slot)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-        assert (pattern.upper_slot[g.i_idx == 0] == len(pattern.indices)).all()
+        assert (pattern.upper_slot[g.i_idx == 0] >= len(pattern.indices)).all()
+        assert pattern.slots == len(pattern.indices) + np.count_nonzero(g.i_idx == 0)
+
+    @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (30, 0.2, 1), (120, 0.05, 3)])
+    def test_incidence_and_cover_match_coo_reference(self, n, p, seed):
+        """The incidence, written directly, equals scipy's COO conversion in values,
+        index arrays and dtypes; `cover` shares its row pointers and sums each free
+        camera's lower-slot blocks in the incidence's (edge) order."""
+        g = generate_scene(SceneSpec(kind="general", n=n, p=p, seed=seed)).graph
+        pattern = robust._NormalPattern(g)
+        m, edges = g.n - 1, len(g.i_idx)
+        at_i = np.flatnonzero(g.i_idx > 0)
+        rows = np.concatenate([g.i_idx[at_i] - 1, g.j_idx - 1])
+        cols = np.concatenate([at_i, np.arange(edges)])
+        sign = np.concatenate([-np.ones(len(at_i)), np.ones(edges)])
+        want = sp.csr_matrix((sign, (rows, cols)), shape=(m, edges))
+        got = pattern.incidence
+        assert got.format == "csr" and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        cover = pattern.cover
+        assert cover.shape == (m, pattern.slots) and cover.indptr is got.indptr
+        assert cover.indices.dtype == np.int32 and cover.data.dtype == np.float64
+        values = np.random.default_rng(seed).standard_normal((pattern.slots, 9))
+        want_sum = abs(want) @ values[pattern.lower_slot]
+        assert (cover @ values).tobytes() == want_sum.tobytes()
 
 
 class TestRobustRefine:

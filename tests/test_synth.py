@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rotavg import so3, synth
+from rotavg import robust, so3, solver, synth, viewgraph
 from rotavg.synth import (
     SceneSpec,
     apply_noise,
@@ -15,7 +16,7 @@ from rotavg.synth import (
     perturbed_graph,
     sample_hessian,
 )
-from rotavg.viewgraph import EdgeMeasurement, chain_init, spanning_tree
+from rotavg.viewgraph import EDGE_BLOCK, EdgeMeasurement, assemble_blocks, chain_init, spanning_tree
 
 
 class TestSceneSpec:
@@ -325,9 +326,101 @@ PARITY_SPECS = [
 ]
 
 
+def unblocked_newton_system(nb, pattern, r):
+    """`solver.newton_system` as one edge-sized stack: (BSR data, rhs, diagonal)."""
+    b = np.swapaxes(nb.lower @ r[nb.i_idx], 1, 2) @ r[nb.j_idx]
+    diagonal = np.arange(3)
+    b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
+    incidence = reference_incidence(nb, pattern)
+    diag = (abs(incidence) @ b.reshape(-1, 9)).reshape(-1, 3, 3)
+    diag = -(diag + np.swapaxes(diag, 1, 2))
+    b *= 2.0
+    rhs = incidence @ (b[:, [1, 2, 0], [2, 0, 1]] - b[:, [2, 0, 1], [1, 2, 0]])
+    return slot_data(pattern, diag, np.swapaxes(b, 1, 2), b), rhs.ravel(), diag
+
+
+def unblocked_assemble(pattern, g, weights, precisions, omegas):
+    """`_NormalPattern.assemble` as edge-sized stacks: (matrix data, rhs, diagonal)."""
+    incidence = reference_incidence(g, pattern)
+    if precisions is None:
+        wh, diag, rhs = weights, abs(incidence) @ weights, incidence @ (weights[:, None] * omegas)
+    else:
+        wh = weights[:, None, None] * precisions
+        diag = (abs(incidence) @ wh.reshape(-1, 9)).reshape(pattern.m, 3, 3)
+        rhs = (incidence @ np.einsum("eab,eb->ea", wh, omegas)).ravel()
+    return slot_data(pattern, diag, -wh, -wh), rhs, diag
+
+
+def reference_incidence(g, pattern):
+    """The signed edge -> free camera incidence through scipy's COO conversion."""
+    index = np.cumsum(pattern.free) - 1
+    at_i = np.flatnonzero(pattern.free[g.i_idx])
+    rows = np.concatenate([index[g.i_idx[at_i]], index[g.j_idx]])
+    cols = np.concatenate([at_i, np.arange(len(g.j_idx))])
+    sign = np.concatenate([-np.ones(len(at_i)), np.ones(len(g.j_idx))])
+    return sp.csr_matrix((sign, (rows, cols)), shape=(pattern.m, len(g.j_idx)))
+
+
+def slot_data(pattern, diag, upper, lower):
+    """The matrix slots of these blocks, written whole: diagonal, (i, j), (j, i)."""
+    data = np.zeros((pattern.slots,) + diag.shape[1:])
+    data[pattern.upper_slot] = upper
+    data[pattern.lower_slot] = lower
+    data[pattern.diag_slot] = diag
+    return data[:len(pattern.indices)]
+
+
 class TestStackedParity:
     """The stacked generator gives exactly the per-edge reference, bit for bit,
-    and leaves its generators where the reference leaves them."""
+    and leaves its generators where the reference leaves them. The kernels that
+    run one edge block at a time equal their one-stack formulas bit for bit."""
+
+    @pytest.mark.parametrize("block", [37, EDGE_BLOCK])
+    def test_blocked_scene_equals_one_stack(self, block, monkeypatch):
+        """A scene of more edges than one block, and a perturbed one, against the
+        same scene generated as one block."""
+        spec = SceneSpec(kind="general", n=160, p=0.7, seed=41, perturb_sigma_deg=5.0, perturb_gamma=0.2)
+        monkeypatch.setattr(viewgraph, "EDGE_BLOCK", block)
+        blocked = generate_scene(spec).graph
+        assert len(blocked.i_idx) > 2 * EDGE_BLOCK
+        monkeypatch.setattr(viewgraph, "EDGE_BLOCK", 10**9)
+        whole = generate_scene(spec).graph
+        for name in ("i_idx", "j_idx", "rel", "hess", "has_hessian"):
+            a, b = getattr(blocked, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", ["iso", "aniso"])
+    def test_newton_system_equals_one_stack(self, mode):
+        g = generate_scene(SceneSpec(kind="general", n=160, p=0.7, seed=42)).graph
+        assert len(g.i_idx) > 2 * EDGE_BLOCK
+        nb = assemble_blocks(g, mode)
+        pattern = robust._NormalPattern(nb)
+        r = solver.make_init("random", g.n, seed=3)
+        hess, rhs, diag = solver.newton_system(nb, pattern, r)
+        want_data, want_rhs, want_diag = unblocked_newton_system(nb, pattern, r)
+        assert hess.data.tobytes() == want_data.tobytes()
+        assert rhs.tobytes() == want_rhs.tobytes() and diag.tobytes() == want_diag.tobytes()
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["aniso", "iso"])
+    def test_assemble_equals_one_stack(self, iso):
+        """Weights and precisions with exact zeros among them: the diagonal keeps
+        the one-stack sum's +0.0."""
+        g = generate_scene(SceneSpec(kind="general", n=160, p=0.7, seed=43)).graph
+        rng = np.random.default_rng(44)
+        weights = 10.0 ** rng.uniform(-6.0, 0.0, len(g.i_idx))
+        precisions = np.zeros((len(weights), 3, 3))
+        precisions[:, [0, 1, 2], [0, 1, 2]] = rng.uniform(1.0, 2.0, (len(weights), 3))
+        precisions[::3, 0, 1] = precisions[::3, 1, 0] = rng.uniform(-0.5, 0.5, len(precisions[::3]))
+        precisions[1::3, 0, 2] = precisions[1::3, 2, 0] = -0.0
+        omegas = rng.standard_normal((len(weights), 3))
+        pattern = robust._NormalPattern(g)
+        p = None if iso else precisions
+        a, rhs, diag = pattern.assemble(weights, p, omegas)
+        want_data, want_rhs, want_diag = unblocked_assemble(pattern, g, weights, p, omegas)
+        assert (diag == 0.0).any() != iso and not np.signbit(diag[diag == 0.0]).any()
+        assert a.data.tobytes() == want_data.tobytes()
+        assert rhs.tobytes() == want_rhs.tobytes() and diag.tobytes() == want_diag.tobytes()
 
     @pytest.mark.parametrize("spec", PARITY_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-seed{s.seed}")
     def test_generate_scene(self, spec, made_generators):

@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rotavg import so3
+from rotavg import so3, viewgraph
 from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import (
     BLOCK_LINES,
+    EDGE_BLOCK,
     SYMMETRY_TOL,
     ConnectionBlocks,
     EdgeMeasurement,
@@ -151,6 +152,27 @@ def valid_arrays(rng):
     return i, j, rel, hess
 
 
+def star_arrays(edges, seed=33):
+    """Edge arrays of a valid star graph: edge k joins camera 0 to camera k + 1."""
+    rng = np.random.default_rng(seed)
+    v = so3.quaternion_rotation(rng.standard_normal((edges, 4)))
+    hess = v * rng.uniform(1.0, 10.0, (edges, 1, 3)) @ np.swapaxes(v, 1, 2)
+    rel = so3.quaternion_rotation(rng.standard_normal((edges, 4)))
+    return np.zeros(edges, dtype=int), np.arange(1, edges + 1), rel, 0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def star_fault(kind, k, n, i, j, rel, hess):
+    """`corrupt` for `star_arrays` of n cameras: a range fault names camera n + 3,
+    and a duplicate repeats edge 1."""
+    if kind == "range":
+        j[k] = n + 3
+        return rf"edge \(0,{n + 3}\) outside vertex range \[0,{n}\)"
+    if kind == "duplicate":
+        j[k] = j[1]
+        return rf"duplicate edge \(0,{j[1]}\)"
+    return corrupt(kind, k, i, j, rel, hess)
+
+
 def corrupt(kind, k, i, j, rel, hess):
     """Give edge k one fault of the named kind; returns the message it must raise."""
     edge = f"edge \\({i[k]},{j[k]}\\)"
@@ -192,6 +214,17 @@ FAULTS = ["self-edge", "order", "rel-nan", "hess-inf", "asymmetric", "indefinite
 GRAPH_LEVEL = ["range", "duplicate", *ROTATION_FAULTS]  # checked by the graph, not by one edge
 
 
+@pytest.mark.parametrize("count, sizes", [(0, []), (1, [1]), (4, [4]), (5, [5]), (6, [4, 2]), (9, [4, 5]),
+                                          (10, [4, 4, 2]), (11, [4, 4, 3])])
+def test_edge_blocks_cover_the_edges_in_order(count, sizes, monkeypatch):
+    """Blocks of EDGE_BLOCK edges, the last taking a remainder under half a block."""
+    monkeypatch.setattr(viewgraph, "EDGE_BLOCK", 4)
+    blocks = viewgraph.edge_blocks(count)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert [b.start for b in blocks] == [4 * k for k in range(len(sizes))]
+    assert blocks[-1:] == [] or blocks[-1].stop == count
+
+
 class TestFromArrays:
     def test_valid_arrays_round_trip(self):
         i, j, rel, hess = valid_arrays(np.random.default_rng(20))
@@ -214,6 +247,39 @@ class TestFromArrays:
             with pytest.raises(RowError, match=message) as info:
                 ViewGraph.from_arrays(6, *arrays)
         assert info.value.index == 2
+
+    @pytest.mark.parametrize("block", [3, EDGE_BLOCK])
+    @pytest.mark.parametrize("first, later", [("duplicate", "self-edge"), ("rel-off", "order"),
+                                              ("indefinite", "rel-nan"), ("range", "hess-inf")])
+    def test_faults_in_different_blocks_name_the_earlier_edge(self, first, later, block, monkeypatch):
+        """The checks run one block of edges at a time: a fault of a later check in
+        an earlier block is named before a fault of an earlier check in a later
+        block, and a duplicate is found with its first occurrence two blocks back."""
+        monkeypatch.setattr(viewgraph, "EDGE_BLOCK", block)
+        arrays = star_arrays(3 * block)
+        n = len(arrays[0]) + 1
+        message = star_fault(first, block + 1, n, *arrays)
+        star_fault(later, 2 * block + 2, n, *arrays)
+        with pytest.raises(RowError, match=message) as info:
+            ViewGraph.from_arrays(n, *arrays)
+        assert info.value.index == block + 1
+
+    @pytest.mark.parametrize("block", [3, EDGE_BLOCK])
+    def test_earliest_fault_within_a_block(self, block, monkeypatch):
+        """Two faults in the last block, the earlier edge's of a later check: that
+        edge is named, unless a block before holds a fault."""
+        monkeypatch.setattr(viewgraph, "EDGE_BLOCK", block)
+        arrays = star_arrays(3 * block)
+        n = len(arrays[0]) + 1
+        message = star_fault("asymmetric", 2 * block + 1, n, *arrays)
+        star_fault("self-edge", 2 * block + 2, n, *arrays)
+        with pytest.raises(RowError, match=message) as info:
+            ViewGraph.from_arrays(n, *arrays)
+        assert info.value.index == 2 * block + 1
+        message = star_fault("range", block - 1, n, *arrays)
+        with pytest.raises(RowError, match=message) as info:
+            ViewGraph.from_arrays(n, *arrays)
+        assert info.value.index == block - 1
 
     @pytest.mark.parametrize("kind", FAULTS)
     def test_single_edge_same_message(self, kind):
@@ -605,6 +671,27 @@ class TestAssembleBlocks:
         g = ViewGraph(2, [EdgeMeasurement(0, 1, np.eye(3))])
         with pytest.raises(ValueError, match="mode"):
             assemble_blocks(g, "blended")
+
+    @pytest.mark.parametrize("block", [3, EDGE_BLOCK])
+    def test_blocked_lower_equals_checked_weight(self, block, monkeypatch):
+        """assemble_blocks forms 0.5 tr(H) I - H one edge block at a time and does not
+        re-check the symmetry the graph's validator checked: `lower` equals the
+        one-stack formula byte for byte, zeros included."""
+        monkeypatch.setattr(viewgraph, "EDGE_BLOCK", block)
+        rng = np.random.default_rng(8)
+        i, j, rel, hess = star_arrays(4 * block + 1)
+        hess[::2] = 0.0  # diagonal Hessians, +0.0 and -0.0 off the diagonal
+        hess[::2, [0, 1, 2], [0, 1, 2]] = rng.uniform(1.0, 20.0, (len(hess[::2]), 3))
+        hess[::4, 0, 1] = hess[::4, 1, 0] = -0.0
+        hess[1::4] = np.diag([1.0, 1.0, 0.0])  # 0.5 tr(H) I - H has a zero row: lower has zero rows
+        rel[::3] = np.diag([1.0, -1.0, -1.0])
+        g = ViewGraph.from_arrays(len(i) + 1, i, j, rel, hess)
+        monkeypatch.setattr(viewgraph, "anisotropic_weight", lambda h: pytest.fail("re-checked"))
+        lower = assemble_blocks(g, "aniso").lower
+        weight = 0.5 * np.trace(g.hess, axis1=1, axis2=2)[:, None, None] * np.eye(3) - g.hess
+        assert np.array_equal(anisotropic_weight(g.hess), weight)  # the checking one, imported here
+        want = weight @ g.rel
+        assert lower.tobytes() == want.tobytes() and (want == 0.0).any()
 
 
 def reference_tables(nb):
