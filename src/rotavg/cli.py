@@ -86,10 +86,14 @@ def cmd_solve(args) -> int:
             write_trace_csv(result.solve, args.trace)
         if args.robust_trace and result.refine is not None:
             write_robust_trace_csv(result.refine, args.robust_trace)
-    solve, newton = result.solve, sum(result.solve.newton_trace)
-    _write_manifest(args, timings,
-                    solve={"status": solve.status, "sweeps": solve.sweeps_run - newton,
-                           "newton_steps": newton, "objective": solve.objective_trace[-1]})
+    solve, refine, newton = result.solve, result.refine, sum(result.solve.newton_trace)
+    records = {"solve": {"status": solve.status, "sweeps": solve.sweeps_run - newton,
+                         "newton_steps": newton, "objective": solve.objective_trace[-1],
+                         "cg_iterations": sum(solve.cg_trace)}}
+    if refine is not None:
+        records["refine"] = {"status": refine.status, "iterations": refine.iters_run,
+                             "cost": refine.cost_trace[-1], "cg_iterations": sum(refine.cg_trace)}
+    _write_manifest(args, timings, **records)
     print(
         f"solved {graph.n} cameras in {solve.sweeps_run - newton} sweeps and "
         f"{newton} Newton steps ({solve.status})"

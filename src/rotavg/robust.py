@@ -18,11 +18,14 @@ structure, the slot of each edge's two coupling blocks and the edge-camera
 incidence), and each iteration only refills the block values. The system is
 solved by conjugate gradients with a block-Jacobi (inverted 3x3 diagonal
 block) preconditioner, after Agarwal et al., "Bundle Adjustment in the Large"
-(ECCV 2010), with a direct sparse solve as fallback. In iso mode every precision is the
-identity and the system is L_w kron I3: the slots hold the scalar weighted
-Laplacian L_w, solved for three right-hand-side columns with a 1/diagonal
-preconditioner. The ACD Newton step (`solver.newton_system`) fills the same
-pattern and calls the same CG.
+(ECCV 2010), with a direct sparse solve as fallback. The CG is this module's
+own (`block_jacobi_cg`): it multiplies by the pattern's matrix directly, takes
+scipy's CG steps in scipy's order, so its iterates are scipy's bit for bit,
+and reports its iteration count and whether it met negative curvature. In iso
+mode every precision is the identity and the system is L_w kron I3: the slots
+hold the scalar weighted Laplacian L_w, solved for three right-hand-side
+columns with a 1/diagonal preconditioner. The ACD Newton step
+(`solver.newton_system`) fills the same pattern and calls the same CG.
 
 Frame bookkeeping: the per-edge Hessian expresses the precision of a
 right-multiplicative error at the measured relative rotation. The tangent
@@ -32,6 +35,7 @@ anisotropic terms use the R_i-conjugated Hessian of the current iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +75,7 @@ class RefineResult:
     halving_trace: list[int] = field(default_factory=list)
     iters_run: int = 0
     status: str = "max_iters_reached"
+    cg_trace: list[int] = field(default_factory=list)  # per iteration: CG iterations of its step
 
 
 def irls_weight(x, tau: float):
@@ -112,7 +117,8 @@ class _EdgeModel:
     def residuals(self, r: np.ndarray) -> np.ndarray:
         """Tangent residuals log(R_j^T R_ij R_i); zero iff the edge is consistent."""
         def block(e):
-            return np.swapaxes(r[self.j_idx[e]], 1, 2) @ self.rel[e] @ r[self.i_idx[e]]
+            rj, ri = r.take(self.j_idx[e], axis=0), r.take(self.i_idx[e], axis=0)
+            return np.swapaxes(rj, 1, 2) @ self.rel[e] @ ri
 
         # One log_so3 call over all edges: its fixed cost per call exceeds a block's products.
         return so3.log_so3(blockwise(len(self.i_idx), block, (3, 3)))
@@ -123,7 +129,7 @@ class _EdgeModel:
             return np.linalg.norm(omegas, axis=1)
 
         def block(e):
-            eps = np.einsum("eab,eb->ea", r[self.i_idx[e]], omegas[e])
+            eps = np.einsum("eab,eb->ea", r.take(self.i_idx[e], axis=0), omegas[e])
             return np.linalg.norm(np.einsum("eab,eb->ea", self.dn[e], eps), axis=1)
 
         return blockwise(len(omegas), block)
@@ -143,7 +149,7 @@ class _EffectivePrecisions:
         self.model, self.r = model, r
 
     def __getitem__(self, e: slice) -> np.ndarray:
-        ri = self.r[self.model.i_idx[e]]
+        ri = self.r.take(self.model.i_idx[e], axis=0)
         return np.transpose(ri, (0, 2, 1)) @ self.model.h[e] @ ri
 
 
@@ -240,30 +246,66 @@ class _NormalPattern:
 
 def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None,
                     rtol: float = CG_RTOL):
-    """x (flat) solving a x = rhs to a residual `rtol` relative to rhs, by CG preconditioned
-    with the inverted diagonal blocks, or None if CG gives no finite x within `maxiter`
-    (default 10 per unknown). IRLS keeps CG_RTOL; the ACD Newton step passes a looser one.
+    """(x, iterations, negative_curvature): x (flat) solves a x = rhs to a residual `rtol`
+    relative to rhs, by conjugate gradients preconditioned with the inverted diagonal
+    blocks (Nocedal & Wright, Alg. 5.3, from x = 0), or is None if CG gives no finite x
+    within `maxiter` iterations (default 10 per unknown). IRLS keeps CG_RTOL; the ACD
+    Newton step passes a looser one. `negative_curvature` says whether some direction p
+    had p^T a p <= 0; it is only reported, and the iteration goes on as it would.
+
+    The steps and their order are those of `scipy.sparse.linalg.cg` (scipy 1.17), so
+    x is bit for bit scipy's and `iterations` the count of its callback: the stop test
+    |r| < rtol |rhs| heads each iteration, a zero rhs returns zeros after none, and a
+    solve that uses all `maxiter` iterations fails even if the last one converged.
 
     A vector `diag` means scalar blocks: `a` (m x m) then acts on each of the 3
     columns of rhs, the system a kron I3. Raises np.linalg.LinAlgError, before
     CG runs, if a diagonal entry or block is not finite and invertible.
     """
     m = len(diag)
-    shape = (3 * m, 3 * m)
     if diag.ndim == 1:
         if not np.all(np.isfinite(diag) & (diag != 0)):
             raise np.linalg.LinAlgError("zero or non-finite diagonal entry")
         diag_inv = np.repeat(1.0 / diag, 3)
-        op = spla.LinearOperator(shape, lambda x: (a @ x.reshape(m, 3)).ravel(), dtype=float)
-        precond = spla.LinearOperator(shape, lambda x: diag_inv * x, dtype=float)
+
+        def matvec(v):
+            return (a @ v.reshape(m, 3)).ravel()
+
+        def precondition(v):
+            return diag_inv * v
     else:
         diag_inv = np.linalg.inv(diag)  # raises on an exactly singular block, not on NaN
         if not (np.isfinite(diag).all() and np.isfinite(diag_inv).all()):
             raise np.linalg.LinAlgError("non-finite diagonal block")
-        op = a
-        precond = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)), shape=shape)
-    x, info = spla.cg(op, rhs.ravel(), rtol=rtol, M=precond, maxiter=maxiter)
-    return x if info == 0 and np.isfinite(x).all() else None
+        matvec = a.__matmul__
+        precondition = sp.bsr_matrix((diag_inv, np.arange(m), np.arange(m + 1)),
+                                     shape=(3 * m, 3 * m)).__matmul__
+    b = rhs.ravel()
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return b.copy(), 0, False
+    atol = max(0.0, rtol * b_norm)  # 0 for a NaN rhs, as in scipy: CG then runs out
+    x, r = np.zeros_like(b), b.copy()
+    p, curved = None, False
+    maxiter = 30 * m if maxiter is None else maxiter
+    for iteration in range(maxiter):
+        if math.sqrt(np.dot(r, r)) < atol:  # np.linalg.norm, without its dispatch
+            return (x if np.isfinite(x).all() else None), iteration, curved
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        curvature = np.dot(p, q)
+        curved |= bool(curvature <= 0.0)
+        alpha = rho / curvature
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return None, maxiter, curved
 
 
 def solve_normal_equations(
@@ -271,15 +313,17 @@ def solve_normal_equations(
     weights: np.ndarray,
     precisions,
     omegas: np.ndarray,
-) -> np.ndarray:
-    """Weighted Gauss-Newton step for min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
+) -> tuple[np.ndarray, int]:
+    """(step, CG iterations) of the weighted Gauss-Newton step for
+    min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
     `precisions` holds D_e^T D_e per edge: an (E, 3, 3) array, or anything whose
     `[e]` gives those rows for a slice e of edges. The smallest camera of each
     component is pinned (its delta is 0); the returned (n, 3) step includes
     the pinned zero rows. Each call fills
     the blocks -w_e P_e and the diagonal sums into `pattern` and solves by
-    `block_jacobi_cg`, with a direct sparse solve as fallback. No precisions
+    `block_jacobi_cg`, with a direct sparse solve as fallback (the iterations
+    count the CG that failed). No precisions
     means the identity on every edge (iso): the system is then the weighted
     Laplacian with three right-hand-side columns.
 
@@ -290,7 +334,7 @@ def solve_normal_equations(
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
     singular = "singular normal equations (a camera whose edges carry no finite, nonzero weight)"
     try:
-        delta_free = block_jacobi_cg(a, rhs, diag)
+        delta_free, iterations, _ = block_jacobi_cg(a, rhs, diag)
     except np.linalg.LinAlgError:
         raise ValueError(singular) from None
     if delta_free is None:
@@ -299,7 +343,7 @@ def solve_normal_equations(
         raise ValueError(singular)
     delta = np.zeros((len(pattern.free), 3))
     delta[pattern.free] = delta_free.reshape(pattern.m, 3)
-    return delta
+    return delta, iterations
 
 
 def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResult:
@@ -331,7 +375,9 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     for _ in range(MAX_OUTER_ITERS):
         result.iters_run += 1
         weights = irls_weight(norms, tau)
-        delta = solve_normal_equations(pattern, weights, model.effective_precisions(r), omegas)
+        delta, cg_iterations = solve_normal_equations(pattern, weights, model.effective_precisions(r),
+                                                      omegas)
+        result.cg_trace.append(cg_iterations)
         for halvings in range(MAX_HALVINGS + 1):
             r_new = r @ so3.exp_so3(delta)
             omegas_new = model.residuals(r_new)

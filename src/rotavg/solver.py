@@ -29,6 +29,9 @@ DEFAULT_STEP_TOL_DEG = 1e-7
 # after NEWTON_CG_MAXITER iterations.
 NEWTON_CG_RTOL = 1e-4
 NEWTON_CG_MAXITER = 200
+# Flat 3x3 indices of (B23, B32), (B31, B13) and (B12, B21), the pairs whose differences
+# give the axial vector a of B.
+_AXIAL = ((5, 7), (6, 2), (1, 3))
 
 
 @dataclass
@@ -58,6 +61,8 @@ class SolveResult:
     sweeps_run: int = 0  # iterations: sweeps plus Newton steps
     status: str = "max_sweeps_reached"
     newton_trace: list[bool] = field(default_factory=list)  # per iteration: a Newton step?
+    # Per iteration: the CG iterations of its Newton attempt, kept or rejected; 0 without one.
+    cg_trace: list[int] = field(default_factory=list)
 
 
 def make_init(kind: str, n: int, seed: int = 0) -> np.ndarray:
@@ -121,13 +126,16 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
     2B^T at block (i, j), 2B at (j, i), and -(B + B^T) at (i, i) and (j, j).
     """
     data, a = np.empty((pattern.slots, 3, 3)), np.empty((nb.num_edges, 3))
-    diagonal = np.arange(3)
     for e in edge_blocks(nb.num_edges):  # written into the slots: no edge-sized temporaries
         ri, rj = r.take(nb.i_idx[e], axis=0), r.take(nb.j_idx[e], axis=0)
         b = np.swapaxes(nb.lower[e] @ ri, 1, 2) @ rj
-        b[:, diagonal, diagonal] -= np.einsum("eaa->e", b)[:, None]
+        # One column view of the flat blocks at a time: faster than a strided (E, 3) view.
+        flat, trace = b.reshape(-1, 9), np.einsum("eaa->e", b)
+        for k in (0, 4, 8):
+            flat[:, k] -= trace
         b *= 2.0
-        a[e] = b[:, [1, 2, 0], [2, 0, 1]] - b[:, [2, 0, 1], [1, 2, 0]]
+        for k, (plus, minus) in enumerate(_AXIAL):
+            np.subtract(flat[:, plus], flat[:, minus], out=a[e, k])
         data[pattern.upper_slot[e]] = np.ascontiguousarray(np.swapaxes(b, 1, 2))  # scatters faster
         data[pattern.lower_slot[e]] = b
     # The slots hold 2B: halving their sums is exact, so diag is that of the sums of B.
@@ -136,19 +144,19 @@ def newton_system(nb: ConnectionBlocks, pattern, r: np.ndarray):
     return pattern.matrix(data, diag), (pattern.incidence @ a).ravel(), diag
 
 
-def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> np.ndarray | None:
-    """[R_k exp(x_k)] for the Newton step x (x_k = 0 at the pinned cameras), or None
-    if CG gives no step."""
+def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """([R_k exp(x_k)] for the Newton step x (x_k = 0 at the pinned cameras), or None
+    if CG gives no step; the CG iterations run)."""
     try:
-        x = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
-                            rtol=NEWTON_CG_RTOL)
+        x, iterations, _ = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
+                                           rtol=NEWTON_CG_RTOL)
     except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
-        return None
+        return None, 0
     if x is None:
-        return None
+        return None, iterations
     r_new = r.copy()
     r_new[pattern.free] = r[pattern.free] @ so3.exp_so3(x.reshape(-1, 3))
-    return r_new
+    return r_new, iterations
 
 
 def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> SolveResult:
@@ -208,9 +216,9 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     lone = []  # unassigned cameras without edges, which get the identity
 
     for it in range(cfg.max_sweeps):
-        r_prev, tried = r.copy(), newton
+        r_prev, tried, cg_iterations = r.copy(), newton, 0
         if newton:  # a rejected step leaves this iteration to a sweep
-            r_new = _newton_iterate(nb, pattern, r)
+            r_new, cg_iterations = _newton_iterate(nb, pattern, r)
             cur_obj = math.inf if r_new is None else objective(nb, r_new)
             newton = cur_obj - prev_obj <= cfg.objective_tol * max(1.0, abs(prev_obj))
             if newton:
@@ -255,6 +263,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         result.objective_trace.append(cur_obj)
         step_trace.append(max_step)
         result.newton_trace.append(newton)
+        result.cg_trace.append(cg_iterations)
         rel_decrease = abs(prev_obj - cur_obj) / max(1.0, abs(cur_obj))
         fell, prev_obj = cur_obj < prev_obj, cur_obj
         if rel_decrease < cfg.objective_tol and max_step < cfg.step_tol_deg:

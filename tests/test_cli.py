@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from rotavg import robust, so3
+from rotavg import robust, so3, solver
 from rotavg.cli import main
 from rotavg.synth import SceneSpec, generate_scene, perturbed_graph
 from rotavg.viewgraph import load_rotations, load_view_graph, save_view_graph
+
+from conftest import scipy_cg
 
 
 def run(argv):
@@ -107,8 +109,9 @@ class TestSolveEval:
         timings = manifest["timings_ms"]
         assert set(timings) == keys and all(t >= 0 for t in timings.values())
         solve = manifest["solve"]
-        assert set(solve) == {"status", "sweeps", "newton_steps", "objective"}
+        assert set(solve) == {"status", "sweeps", "newton_steps", "objective", "cg_iterations"}
         assert solve["status"] == "converged" and solve["sweeps"] >= 1
+        assert ("refine" in manifest) == (robust != "none")
 
     def test_solve_message_counts_sweeps_and_newton_steps(self, tmp_path, capsys):
         vg, man = tmp_path / "g.vg", tmp_path / "m.json"
@@ -118,6 +121,28 @@ class TestSolveEval:
         assert solve["newton_steps"] >= 1
         assert capsys.readouterr().out.endswith(
             f"in {solve['sweeps']} sweeps and {solve['newton_steps']} Newton steps (converged)\n")
+
+    @pytest.mark.parametrize("robust_kind", ["irls", "airls"])
+    def test_manifest_cg_totals_match_scipy(self, tmp_path, monkeypatch, robust_kind):
+        """The solve and refine records total the CG iterations of the Newton steps and
+        of the IRLS solves; scipy's CG, run on each of those systems, counts as many."""
+        vg, man, rtrace = tmp_path / "g.vg", tmp_path / "m.json", tmp_path / "r.csv"
+        assert run(["synth", "--kind", "general", "--n", 60, "--p", 0.2, "--seed", 5, "--out", vg]) == 0
+        scipy_counts, real_cg = {solver.NEWTON_CG_RTOL: 0, robust.CG_RTOL: 0}, robust.block_jacobi_cg
+
+        def counting_cg(a, rhs, diag, maxiter=None, rtol=robust.CG_RTOL):
+            scipy_counts[rtol] += scipy_cg(a, rhs, diag, maxiter, rtol)[1]
+            return real_cg(a, rhs, diag, maxiter, rtol)
+
+        monkeypatch.setattr(robust, "block_jacobi_cg", counting_cg)
+        monkeypatch.setattr(solver, "block_jacobi_cg", counting_cg)
+        assert run(["solve", "--in", vg, "--robust", robust_kind, "--out", tmp_path / "e.rot",
+                    "--manifest", man, "--robust-trace", rtrace]) == 0
+        manifest = json.loads(man.read_text())
+        solve, refine = manifest["solve"], manifest["refine"]
+        assert solve["newton_steps"] >= 1 and solve["cg_iterations"] == scipy_counts[solver.NEWTON_CG_RTOL]
+        assert refine["cg_iterations"] == scipy_counts[robust.CG_RTOL] > 0
+        assert refine["iterations"] == len(rtrace.read_text().splitlines()) - 1
 
     def test_per_component_manifest_timings(self, tmp_path):
         """--per-component runs the one pipeline: full timings, the solve record and both traces."""
@@ -131,7 +156,8 @@ class TestSolveEval:
                         "--robust-trace", rtrace]) == 0
         manifest = json.loads(man.read_text())
         assert set(manifest["timings_ms"]) == {"load", "assemble", "solve", "refine", "save"}
-        assert set(manifest["solve"]) == {"status", "sweeps", "newton_steps", "objective"}
+        assert set(manifest["solve"]) == {"status", "sweeps", "newton_steps", "objective", "cg_iterations"}
+        assert set(manifest["refine"]) == {"status", "iterations", "cost", "cg_iterations"}
         solve = manifest["solve"]
         assert len(trace.read_text().splitlines()) == solve["sweeps"] + solve["newton_steps"] + 1
         assert len(rtrace.read_text().splitlines()) >= 2

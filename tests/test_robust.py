@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rotavg import robust, so3
+from rotavg import robust, so3, solver
 from rotavg.robust import (
     RobustConfig,
     _EdgeModel,
@@ -17,7 +17,9 @@ from rotavg.robust import (
     write_robust_trace_csv,
 )
 from rotavg.synth import SceneSpec, generate_scene
-from rotavg.viewgraph import EdgeMeasurement, ViewGraph
+from rotavg.viewgraph import EdgeMeasurement, ViewGraph, assemble_blocks
+
+from conftest import scipy_cg
 
 
 def random_spd(rng):
@@ -143,6 +145,16 @@ class TestCholeskyFactor:
             robust_refine(g, np.tile(np.eye(3), (3, 1, 1)), RobustConfig(mode="aniso"))
 
 
+def forbid_products(monkeypatch, on_product):
+    """Make every matrix `_NormalPattern` builds call `on_product` when multiplied: CG
+    multiplies in every iteration, so no call means no CG iteration ran."""
+    class Forbidden:
+        def __matmul__(self, other):
+            on_product()
+
+    monkeypatch.setattr(robust._NormalPattern, "matrix", lambda self, data, diag: Forbidden())
+
+
 class TestNormalEquations:
     def test_gauss_newton_against_dense_solve(self):
         rng = np.random.default_rng(3)
@@ -151,7 +163,7 @@ class TestNormalEquations:
         weights = np.ones(e_count)
         precisions = np.tile(np.eye(3), (e_count, 1, 1))
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        delta = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
+        delta, _ = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         # Dense reference: least squares on J delta = stacked residuals with
         # row blocks (delta_j - delta_i) and camera 0 eliminated.
@@ -175,8 +187,11 @@ class TestNormalEquations:
         # the rows sqrt(w_e) D_e (delta_j - delta_i - omega_e), camera 0 pinned.
         # Iso passes no precisions and is checked against D_e = I; on the CG
         # path it equals the block solve with identity precisions bit for bit.
-        if cg_fails:
-            monkeypatch.setattr(robust.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+        real_spsolve, spsolves = robust.spla.spsolve, []
+        monkeypatch.setattr(robust.spla, "spsolve", lambda *a: spsolves.append(1) or real_spsolve(*a))
+        if cg_fails:  # CG runs out after one iteration, and spsolve solves
+            cg = robust.block_jacobi_cg
+            monkeypatch.setattr(robust, "block_jacobi_cg", lambda *a: cg(*a, maxiter=1))
         rng = np.random.default_rng(13)
         g, _ = noisy_graph(8, rng, sigma=0.1)
         e_count = len(g.edges)
@@ -186,9 +201,10 @@ class TestNormalEquations:
         pattern = robust._NormalPattern(g)
         if iso:
             precisions = np.tile(np.eye(3), (e_count, 1, 1))
-        delta = solve_normal_equations(pattern, weights, None if iso else precisions, omegas)
+        delta, iterations = solve_normal_equations(pattern, weights, None if iso else precisions, omegas)
+        assert len(spsolves) == cg_fails and (iterations == 1 if cg_fails else iterations > 1)
         if iso and not cg_fails:
-            block = solve_normal_equations(pattern, weights, precisions, omegas)
+            block, _ = solve_normal_equations(pattern, weights, precisions, omegas)
             assert np.array_equal(delta, block)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         m = g.n - 1
@@ -218,8 +234,8 @@ class TestNormalEquations:
         pattern = robust._NormalPattern(g)
         if iso:
             precisions = np.tile(np.eye(3), (e_count, 1, 1))
-            block = solve_normal_equations(pattern, weights, precisions, omegas)
-            assert np.array_equal(solve_normal_equations(pattern, weights, None, omegas), block)
+            block, _ = solve_normal_equations(pattern, weights, precisions, omegas)
+            assert np.array_equal(solve_normal_equations(pattern, weights, None, omegas)[0], block)
         a, rhs, _ = pattern.assemble(weights, None if iso else precisions, omegas)
         a, rhs = (np.kron(a.toarray(), np.eye(3)), rhs.ravel()) if iso else (a.toarray(), rhs)
         m = g.n - 1
@@ -250,15 +266,15 @@ class TestNormalEquations:
         assert np.flatnonzero(~pattern.free).tolist() == pinned and pattern.m == 4 - len(pinned)
         weights, omegas = rng.uniform(0.1, 1.0, len(pairs)), rng.standard_normal((len(pairs), 3))
         precisions = np.stack([random_spd(rng) for _ in pairs])
-        delta = solve_normal_equations(pattern, weights, precisions, omegas)
+        delta, _ = solve_normal_equations(pattern, weights, precisions, omegas)
         assert not delta[pinned].any() and np.all(delta[pattern.free] != 0.0)
         for comp in g.components():
             ids = [e for e, (i, _) in enumerate(pairs) if i in comp]
             sub = ViewGraph(len(comp), [
                 EdgeMeasurement(comp.index(pairs[e][0]), comp.index(pairs[e][1]), np.eye(3)) for e in ids
             ])
-            alone = solve_normal_equations(robust._NormalPattern(sub), weights[ids], precisions[ids],
-                                           omegas[ids])
+            alone, _ = solve_normal_equations(robust._NormalPattern(sub), weights[ids], precisions[ids],
+                                              omegas[ids])
             np.testing.assert_allclose(delta[comp], alone, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
@@ -268,7 +284,7 @@ class TestNormalEquations:
         # The pattern is connected, but every edge of camera 3 has this weight.
         # The diagonal check rejects it before CG runs, also on the block path
         # with NaN weights, whose inverse LAPACK computes without error.
-        monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: pytest.fail("CG ran"))
+        forbid_products(monkeypatch, lambda: pytest.fail("CG ran"))
         rng = np.random.default_rng(15)
         g, _ = noisy_graph(5, rng)
         e_count = len(g.edges)
@@ -284,7 +300,7 @@ class TestNormalEquations:
         """NaN weights at camera 3 of an n=40 graph: the block path raises at
         once instead of running CG to its iteration limit."""
         cg_calls = []
-        monkeypatch.setattr(robust.spla, "cg", lambda *a, **kw: cg_calls.append(1))
+        forbid_products(monkeypatch, lambda: cg_calls.append(1))
         g = generate_scene(SceneSpec(kind="general", n=40, p=0.3, seed=1)).graph
         weights = np.ones(len(g.i_idx))
         weights[(g.i_idx == 3) | (g.j_idx == 3)] = np.nan
@@ -305,13 +321,68 @@ class TestNormalEquations:
         rng = np.random.default_rng(4)
         g, _ = noisy_graph(6, rng, sigma=0.05)
         e_count = len(g.edges)
-        delta = solve_normal_equations(
+        delta, _ = solve_normal_equations(
             robust._NormalPattern(g),
             rng.uniform(0.1, 1.0, e_count),
             np.stack([random_spd(rng) for _ in range(e_count)]),
             0.05 * rng.standard_normal((e_count, 3)),
         )
         assert np.all(np.isfinite(delta))
+
+
+class TestBlockJacobiCG:
+    """The in-house CG against `scipy.sparse.linalg.cg` (`conftest.scipy_cg`): the same
+    x bit for bit, and as many iterations as scipy's callback counts."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        """The Newton system after two sweeps of a general scene, and the aniso (3x3
+        blocks) and iso (scalar) IRLS systems at that iterate."""
+        g = generate_scene(SceneSpec(kind="general", n=60, p=0.2, seed=5)).graph
+        nb = assemble_blocks(g, "aniso")
+        r = solver.acd_solve(nb, solver.SolverConfig(max_sweeps=2), solver.make_init("zeros", 60)).rotations
+        pattern = robust._NormalPattern(g)
+        out = {"newton": solver.newton_system(nb, pattern, r)}
+        for mode in ("aniso", "iso"):
+            model = _EdgeModel(g, mode)
+            omegas = model.residuals(r)
+            weights = irls_weight(model.whitened_norms(r, omegas), np.radians(5.0))
+            out[mode] = pattern.assemble(weights, model.effective_precisions(r), omegas)
+        return out
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-12])
+    @pytest.mark.parametrize("system", ["newton", "aniso", "iso"])
+    def test_matches_scipy(self, systems, system, rtol):
+        x, iterations, curved = robust.block_jacobi_cg(*systems[system], rtol=rtol)
+        want, count = scipy_cg(*systems[system], rtol=rtol)
+        assert x is not None and np.array_equal(x, want)
+        assert iterations == count > 1 and not curved
+
+    @pytest.mark.parametrize("system", ["newton", "aniso", "iso"])
+    def test_capped_maxiter_runs_out(self, systems, system):
+        """A CG that uses all its iterations fails, as scipy's does."""
+        assert robust.block_jacobi_cg(*systems[system], maxiter=3)[:2] == (None, 3)
+        assert scipy_cg(*systems[system], maxiter=3) == (None, 3)
+
+    @pytest.mark.parametrize("system", ["newton", "iso"])
+    def test_zero_rhs_takes_no_iteration(self, systems, system):
+        a, rhs, diag = systems[system]
+        x, iterations, curved = robust.block_jacobi_cg(a, np.zeros_like(rhs), diag)
+        want, count = scipy_cg(a, np.zeros_like(rhs), diag)
+        assert np.array_equal(x, want) and not x.any() and x.shape == (rhs.size,)
+        assert iterations == count == 0 and not curved
+
+    def test_indefinite_system_flags_curvature(self):
+        """At a random start the Newton matrix is indefinite: CG meets p^T A p <= 0,
+        says so, and goes on as scipy's does to the same x."""
+        g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=2)).graph
+        nb = assemble_blocks(g, "aniso")
+        a, rhs, diag = solver.newton_system(nb, robust._NormalPattern(nb),
+                                            solver.make_init("random", 30, seed=1))
+        assert np.linalg.eigvalsh(a.toarray())[0] < 0
+        x, iterations, curved = robust.block_jacobi_cg(a, rhs, diag)
+        want, count = scipy_cg(a, rhs, diag)
+        assert curved and x is not None and np.array_equal(x, want) and iterations == count
 
 
 def lexsort_pattern(g):
@@ -403,7 +474,7 @@ class TestRobustRefine:
         g, gt = noisy_graph(6, rng, sigma=0.0)
         step = np.zeros((6, 3))
         step[1:] = [0.3, -0.2, 0.1]
-        monkeypatch.setattr(robust, "solve_normal_equations", lambda *args: step)
+        monkeypatch.setattr(robust, "solve_normal_equations", lambda *args: (step, 0))
         model = _EdgeModel(g, "iso")
         c0 = robust_cost(model.whitened_norms(gt, model.residuals(gt)), np.radians(5.0))
         res = robust_refine(g, gt, RobustConfig(mode="iso", tau_deg=5.0))
@@ -412,6 +483,7 @@ class TestRobustRefine:
         assert res.cost_trace == [c0, c0]
         assert res.halving_trace == [robust.MAX_HALVINGS]
         assert res.max_step_trace == [0.0]
+        assert res.cg_trace == [0]  # the stub's count, one per iteration
 
     def test_cost_trace_non_increasing(self):
         rng = np.random.default_rng(6)

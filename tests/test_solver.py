@@ -1,5 +1,6 @@
 """Tests for the coordinate-descent solver, its oracle, and initializations."""
 
+import inspect
 import re
 import warnings
 
@@ -498,18 +499,21 @@ class TestNewtonPolish:
         cfg = SolverConfig(mode=mode)
         res = acd_solve(nb, cfg, make_init("zeros", n))
         assert res.status == "converged" and any(res.newton_trace)
-        x = robust.block_jacobi_cg(*solver.newton_system(nb, robust._NormalPattern(nb), res.rotations))
+        x, _, _ = robust.block_jacobi_cg(*solver.newton_system(nb, robust._NormalPattern(nb), res.rotations))
         assert np.degrees(np.linalg.norm(x.reshape(-1, 3), axis=1).max()) < cfg.step_tol_deg
 
     def test_newton_cg_is_inexact_and_irls_cg_exact(self, monkeypatch):
         """Every CG of a Newton step stops at NEWTON_CG_RTOL; IRLS keeps CG_RTOL."""
-        rtols, real_cg = [], robust.spla.cg
+        rtols, real_cg = [], robust.block_jacobi_cg
 
-        def recording_cg(*args, rtol, **kwargs):
-            rtols.append(rtol)
-            return real_cg(*args, rtol=rtol, **kwargs)
+        def recording_cg(*args, **kwargs):
+            call = inspect.signature(real_cg).bind(*args, **kwargs)
+            call.apply_defaults()  # IRLS leaves rtol at its default
+            rtols.append(call.arguments["rtol"])
+            return real_cg(*args, **kwargs)
 
-        monkeypatch.setattr(robust.spla, "cg", recording_cg)
+        monkeypatch.setattr(robust, "block_jacobi_cg", recording_cg)
+        monkeypatch.setattr(solver, "block_jacobi_cg", recording_cg)
         g = generate_scene(SceneSpec(kind="general", n=60, p=0.2, seed=5)).graph
         res = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init("zeros", 60))
         assert any(res.newton_trace) and set(rtols) == {solver.NEWTON_CG_RTOL}
@@ -523,7 +527,7 @@ class TestNewtonPolish:
         """A step CG cannot give is rejected: the iterates are those of the sweeps, bit for bit."""
         g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
         if case == "cg_fails":
-            monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: None)
+            monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: (None, 0, False))
         else:
             monkeypatch.setattr(solver, "NEWTON_CG_MAXITER", 1)
         nb = assemble_blocks(g, "aniso")
@@ -531,9 +535,12 @@ class TestNewtonPolish:
         res = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
         assert not any(res.newton_trace)
         assert np.array_equal(res.rotations, sweeps_only(nb, init, 0, 12))
+        # The cg_trace counts a rejected attempt's iterations: one for the capped CG.
+        assert set(res.cg_trace) == ({0} if case == "cg_fails" else {0, 1})
         monkeypatch.undo()  # the scene takes Newton steps under the same rule
         connected = acd_solve(nb, SolverConfig(max_sweeps=12, **self.TIGHT), init)
         assert any(connected.newton_trace)
+        assert all(c > 1 for c, newton in zip(connected.cg_trace, connected.newton_trace) if newton)
 
     @pytest.mark.filterwarnings("ignore:1 vertices have no incident edges", "ignore:.*is unreachable")
     @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex"])
@@ -554,10 +561,10 @@ class TestNewtonPolish:
         kept, newton_iterate = [], solver._newton_iterate
 
         def recording(nb, pattern, r):
-            r_new = newton_iterate(nb, pattern, r)
+            r_new, iterations = newton_iterate(nb, pattern, r)
             assert np.flatnonzero(~pattern.free).tolist() == [0, 30]
             kept.append(r_new is not None and np.array_equal(r_new[[0, 30]], r[[0, 30]]))
-            return r_new
+            return r_new, iterations
 
         monkeypatch.setattr(solver, "_newton_iterate", recording)
         res = acd_solve(assemble_blocks(g, "aniso"), SolverConfig(), make_init(init, n, seed=1))
