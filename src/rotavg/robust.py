@@ -21,10 +21,10 @@ block) preconditioner, after Agarwal et al., "Bundle Adjustment in the Large"
 (ECCV 2010), with a direct sparse solve as fallback. The CG is this module's
 own (`block_jacobi_cg`): it multiplies by the pattern's matrix directly, takes
 scipy's CG steps in scipy's order, so its iterates are scipy's bit for bit,
-and reports its iteration count and whether it met negative curvature. In iso
-mode every precision is the identity and the system is L_w kron I3: the slots
-hold the scalar weighted Laplacian L_w, solved for three right-hand-side
-columns with a 1/diagonal preconditioner. The ACD Newton step
+and returns its iteration count with the step. In iso mode every precision
+is the identity and the system is L_w kron I3: the slots hold the scalar
+weighted Laplacian L_w, solved for three right-hand-side columns with a
+1/diagonal preconditioner. The ACD Newton step
 (`solver.newton_system`) fills the same pattern and calls the same CG.
 
 Frame bookkeeping: the per-edge Hessian expresses the precision of a
@@ -246,12 +246,11 @@ class _NormalPattern:
 
 def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = None,
                     rtol: float = CG_RTOL):
-    """(x, iterations, negative_curvature): x (flat) solves a x = rhs to a residual `rtol`
-    relative to rhs, by conjugate gradients preconditioned with the inverted diagonal
-    blocks (Nocedal & Wright, Alg. 5.3, from x = 0), or is None if CG gives no finite x
-    within `maxiter` iterations (default 10 per unknown). IRLS keeps CG_RTOL; the ACD
-    Newton step passes a looser one. `negative_curvature` says whether some direction p
-    had p^T a p <= 0; it is only reported, and the iteration goes on as it would.
+    """(x, iterations): x (flat) solves a x = rhs to a residual `rtol` relative to rhs,
+    by conjugate gradients preconditioned with the inverted diagonal blocks (Nocedal &
+    Wright, Alg. 5.3, from x = 0), or is None if CG gives no finite x within `maxiter`
+    iterations (default 10 per unknown). IRLS keeps CG_RTOL; the ACD Newton step passes
+    a looser one. A direction p with p^T a p <= 0 does not stop the iteration.
 
     The steps and their order are those of `scipy.sparse.linalg.cg` (scipy 1.17), so
     x is bit for bit scipy's and `iterations` the count of its callback: the stop test
@@ -283,14 +282,13 @@ def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = 
     b = rhs.ravel()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return b.copy(), 0, False
+        return b.copy(), 0
     atol = max(0.0, rtol * b_norm)  # 0 for a NaN rhs, as in scipy: CG then runs out
-    x, r = np.zeros_like(b), b.copy()
-    p, curved = None, False
+    x, r, p = np.zeros_like(b), b.copy(), None
     maxiter = 30 * m if maxiter is None else maxiter
     for iteration in range(maxiter):
         if math.sqrt(np.dot(r, r)) < atol:  # np.linalg.norm, without its dispatch
-            return (x if np.isfinite(x).all() else None), iteration, curved
+            return (x if np.isfinite(x).all() else None), iteration
         z = precondition(r)
         rho = np.dot(r, z)
         if p is None:
@@ -299,13 +297,11 @@ def block_jacobi_cg(a, rhs: np.ndarray, diag: np.ndarray, maxiter: int | None = 
             p *= rho / rho_prev
             p += z
         q = matvec(p)
-        curvature = np.dot(p, q)
-        curved |= bool(curvature <= 0.0)
-        alpha = rho / curvature
+        alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return None, maxiter, curved
+    return None, maxiter
 
 
 def solve_normal_equations(
@@ -334,7 +330,7 @@ def solve_normal_equations(
     a, rhs, diag = pattern.assemble(weights, precisions, omegas)
     singular = "singular normal equations (a camera whose edges carry no finite, nonzero weight)"
     try:
-        delta_free, iterations, _ = block_jacobi_cg(a, rhs, diag)
+        delta_free, iterations = block_jacobi_cg(a, rhs, diag)
     except np.linalg.LinAlgError:
         raise ValueError(singular) from None
     if delta_free is None:

@@ -148,8 +148,8 @@ def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> tuple[np.nd
     """([R_k exp(x_k)] for the Newton step x (x_k = 0 at the pinned cameras), or None
     if CG gives no step; the CG iterations run)."""
     try:
-        x, iterations, _ = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
-                                           rtol=NEWTON_CG_RTOL)
+        x, iterations = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
+                                        rtol=NEWTON_CG_RTOL)
     except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
         return None, 0
     if x is None:

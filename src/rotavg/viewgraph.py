@@ -449,12 +449,12 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
     return ConnectionBlocks(g.n, g.i_idx, g.j_idx, lower)
 
 
-def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
-    """Minimum spanning forest (one tree per connected component), rooted at vertex 0.
+def spanning_tree(g: ViewGraph) -> np.ndarray:
+    """Minimum spanning forest (one tree per connected component), as edge ids of `g`.
 
     Edge weight is -tr(H) when every edge has a Hessian (most-certain edges
     first), otherwise uniform. Ties break on (i, j) lexicographic order, so
-    the forest is deterministic.
+    the forest is deterministic; the ids are listed in that (Kruskal) order.
     """
     from scipy.sparse import coo_matrix, csgraph
 
@@ -464,35 +464,36 @@ def spanning_tree(g: ViewGraph) -> tuple[list[EdgeMeasurement], int]:
     # tree is unique and is the one Kruskal's algorithm takes in that order.
     rank = np.argsort(order) + 1.0
     mst = csgraph.minimum_spanning_tree(coo_matrix((rank, (g.i_idx, g.j_idx)), shape=(g.n, g.n)))
-    return [g._edge(e) for e in order[np.sort(mst.data).astype(np.intp) - 1].tolist()], 0
+    return order[np.sort(mst.data).astype(np.intp) - 1]
 
 
-def chain_init(g: ViewGraph, tree: tuple[list[EdgeMeasurement], int]) -> np.ndarray:
-    """Propagate rotations exactly along the edges of a spanning forest.
+def chain_init(g: ViewGraph, tree: np.ndarray) -> np.ndarray:
+    """Propagate rotations exactly along a spanning forest, given as edge ids of `g`.
 
-    A chain starts at the root and at the smallest camera of each component
-    without the root; each start gets the identity, and each child satisfies
-    its tree measurement exactly (R_j = R_ij R_i in edge orientation, the
-    transpose against it).
+    A chain starts with the identity at each camera of `g.smallest_cameras()`,
+    the cameras the normal equations pin; each child satisfies its tree
+    measurement exactly (R_j = R_ij R_i in edge orientation, the transpose
+    against it). Raises ValueError if the edges miss a camera or number more
+    than n - #components.
     """
     from scipy.sparse import coo_matrix, csgraph
 
-    edges, root = tree
-    n = g.n
-    # A virtual camera n, joined by identity edges to every start, makes the forest one
-    # tree, so one search reaches every chain.
-    starts = [root] + np.delete(g.smallest_cameras(), g._labels[root]).tolist() if n else []
-    rel = {(e.i, e.j): e.rel for e in edges} | {(s, n): np.eye(3) for s in starts}
-    ij = np.array(list(rel), dtype=np.intp).reshape(-1, 2)
-    adjacency = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n + 1, n + 1))
+    n, starts = g.n, g.smallest_cameras()
+    i, j = g.i_idx[tree], g.j_idx[tree]
+    # A virtual camera n, joined to every start, makes the forest one tree for one search.
+    rows, cols = np.concatenate([i, starts]), np.concatenate([j, np.full(len(starts), n)])
+    adjacency = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
     order, parent = csgraph.breadth_first_order(adjacency, n, directed=False)
-    if len(order) != n + 1:
-        raise ValueError("tree does not span the graph")
-    stack = np.zeros((n + 1, 3, 3))
-    stack[n] = np.eye(3)
-    for w, v in zip(order[1:].tolist(), parent[order[1:]].tolist()):
-        stack[w] = rel[v, w] @ stack[v] if v < w else rel[w, v].T @ stack[v]
-    return stack[:n]
+    if len(order) != n + 1 or len(tree) > n - len(starts):
+        raise ValueError(f"tree of {len(tree)} edges does not span the graph as a forest of "
+                         f"{n - len(starts)} edges")
+    edge = np.zeros(n, dtype=np.intp)  # the tree edge that reaches each camera but a start
+    edge[np.where(parent[j] == i, j, i)] = tree
+    walk = order[1 + len(starts):]  # the search visits the starts first, right after n
+    stack = np.tile(np.eye(3), (n, 1, 1))
+    for w, v, e in zip(walk.tolist(), parent[walk].tolist(), edge[walk].tolist()):
+        stack[w] = g.rel[e] @ stack[v] if v < w else g.rel[e].T @ stack[v]
+    return stack
 
 
 def save_view_graph(g: ViewGraph, path) -> None:
@@ -688,7 +689,9 @@ def load_rotations(path) -> np.ndarray:
     _raise_first(faults)
     if not ids:
         raise GraphFormatError("empty rotation file")
-    missing = sorted(set(range(max(ids) + 1)) - seen)
-    if missing:
-        raise GraphFormatError(f"missing camera ids {missing}")
+    missing = max(ids) + 1 - len(ids)  # parse keeps ids unique and >= 0
+    if missing:  # the first five missing ids are below len(ids) + 5
+        first = sorted(set(range(min(max(ids), len(ids) + 5))) - seen)[:5]
+        more = f" and {missing - 5} more" if missing > 5 else ""
+        raise GraphFormatError(f"missing camera ids {first}{more}")
     return rot[np.argsort(ids)]

@@ -290,6 +290,17 @@ class TestSolveEval:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_eval_large_camera_id_exit_1(self, noiseless_loop, tmp_path, capsys):
+        """An id of 10^6 in a two-line file: a one-line error naming the first missing ids."""
+        _, gt = noiseless_loop
+        far = tmp_path / "far.rot"
+        rows = gt.read_text().splitlines()
+        far.write_text(rows[0] + "\n" + rows[1].replace("ROT 1 ", "ROT 1000000 ", 1) + "\n")
+        code = run(["eval", "--est", far, "--gt", gt, "--out", tmp_path / "m.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "missing camera ids [1, 2, 3, 4, 5] and 999994 more" in err and len(err) < 200
+
     def test_iso_and_h2i_identical_outputs(self, tmp_path):
         vg = tmp_path / "h2i.vg"
         rng = np.random.default_rng(9)

@@ -499,7 +499,7 @@ class TestNewtonPolish:
         cfg = SolverConfig(mode=mode)
         res = acd_solve(nb, cfg, make_init("zeros", n))
         assert res.status == "converged" and any(res.newton_trace)
-        x, _, _ = robust.block_jacobi_cg(*solver.newton_system(nb, robust._NormalPattern(nb), res.rotations))
+        x, _ = robust.block_jacobi_cg(*solver.newton_system(nb, robust._NormalPattern(nb), res.rotations))
         assert np.degrees(np.linalg.norm(x.reshape(-1, 3), axis=1).max()) < cfg.step_tol_deg
 
     def test_newton_cg_is_inexact_and_irls_cg_exact(self, monkeypatch):
@@ -527,7 +527,7 @@ class TestNewtonPolish:
         """A step CG cannot give is rejected: the iterates are those of the sweeps, bit for bit."""
         g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
         if case == "cg_fails":
-            monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: (None, 0, False))
+            monkeypatch.setattr(solver, "block_jacobi_cg", lambda *a, **kw: (None, 0))
         else:
             monkeypatch.setattr(solver, "NEWTON_CG_MAXITER", 1)
         nb = assemble_blocks(g, "aniso")

@@ -775,29 +775,26 @@ class TestSpanningTree:
         return ViewGraph(n, edges)
 
     def test_loop_drops_one_edge(self):
-        tree, root = spanning_tree(self.loop_graph(8))
-        assert len(tree) == 7
-        assert root == 0
+        tree = spanning_tree(self.loop_graph(8))
+        assert tree.dtype == np.intp and len(tree) == 7
 
     def test_path_is_its_own_tree(self):
         g = ViewGraph(4, [EdgeMeasurement(k, k + 1, np.eye(3)) for k in range(3)])
-        tree, _ = spanning_tree(g)
-        assert sorted((e.i, e.j) for e in tree) == [(0, 1), (1, 2), (2, 3)]
+        tree = spanning_tree(g)
+        assert sorted(zip(g.i_idx[tree].tolist(), g.j_idx[tree].tolist())) == [(0, 1), (1, 2), (2, 3)]
 
     def test_deterministic(self):
         g = self.loop_graph(10, np.random.default_rng(6))
-        t1, _ = spanning_tree(g)
-        t2, _ = spanning_tree(g)
-        assert [(e.i, e.j) for e in t1] == [(e.i, e.j) for e in t2]
+        np.testing.assert_array_equal(spanning_tree(g), spanning_tree(g))
 
     def test_acyclic_connected(self):
         rng = np.random.default_rng(7)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.7]
         pairs += [(k, k + 1) for k in range(5) if (k, k + 1) not in pairs]
         g = ViewGraph(6, [EdgeMeasurement(i, j, np.eye(3)) for i, j in sorted(set(pairs))])
-        tree, _ = spanning_tree(g)
+        tree = spanning_tree(g)
         assert len(tree) == 5
-        assert ViewGraph(6, tree).is_connected()
+        assert ViewGraph.from_arrays(6, g.i_idx[tree], g.j_idx[tree], g.rel[tree]).is_connected()
 
     @pytest.mark.parametrize("with_hessians", [True, False])
     def test_matches_per_edge_kruskal(self, with_hessians):
@@ -818,17 +815,40 @@ class TestSpanningTree:
             if a != b:
                 comp = [b if c == a else c for c in comp]
                 want.append((e.i, e.j))
-        tree, _ = spanning_tree(ViewGraph(9, edges))
-        assert [(e.i, e.j) for e in tree] == want
+        g = ViewGraph(9, edges)
+        tree = spanning_tree(g)
+        assert list(zip(g.i_idx[tree].tolist(), g.j_idx[tree].tolist())) == want
 
     def test_disconnected_graph_gives_spanning_forest(self):
         """One tree per component: n - #components edges, and the same components."""
         rng = np.random.default_rng(11)
         pairs = [(0, 2), (2, 5), (0, 5), (1, 3), (3, 6), (1, 6), (3, 7)]  # and cameras 4, 8 alone
         g = ViewGraph(9, [EdgeMeasurement(i, j, np.eye(3), random_spd(rng)) for i, j in pairs])
-        tree, root = spanning_tree(g)
-        assert root == 0 and len(tree) == 9 - 4
-        assert ViewGraph(9, tree).components() == g.components() == [[0, 2, 5], [1, 3, 6, 7], [4], [8]]
+        tree = spanning_tree(g)
+        assert len(tree) == 9 - 4
+        forest = ViewGraph.from_arrays(9, g.i_idx[tree], g.j_idx[tree], g.rel[tree], g.hess[tree])
+        assert forest.components() == g.components() == [[0, 2, 5], [1, 3, 6, 7], [4], [8]]
+
+
+def per_edge_chain_init(g: ViewGraph, tree) -> np.ndarray:
+    """The per-edge walk `chain_init` replaces: a dict of the tree's edges, one chain
+    from the smallest camera of each component, and the same products."""
+    rel = {(int(g.i_idx[e]), int(g.j_idx[e])): g.rel[e] for e in tree}
+    nbrs = {k: [] for k in range(g.n)}
+    for i, j in rel:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    stack = np.zeros((g.n, 3, 3))
+    for start in g.smallest_cameras().tolist():
+        stack[start] = np.eye(3)
+        queue, seen = [start], {start}
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+                    stack[w] = rel[v, w] @ stack[v] if v < w else rel[w, v].T @ stack[v]
+    return stack
 
 
 class TestChainInit:
@@ -861,31 +881,56 @@ class TestChainInit:
             assert so3.is_rotation(r)
 
     def test_tree_must_span(self):
-        edges = [EdgeMeasurement(k, k + 1, rz(10 * k)) for k in range(3)]
-        g = ViewGraph(4, edges)
-        with pytest.raises(ValueError, match="tree does not span"):
-            chain_init(g, ([edges[0], edges[2]], 0))
+        g = ViewGraph(4, [EdgeMeasurement(k, k + 1, rz(10 * k)) for k in range(3)])
+        with pytest.raises(ValueError, match="does not span the graph"):
+            chain_init(g, np.array([0, 2]))
+        with pytest.raises(ValueError, match="does not span the graph"):
+            chain_init(g, np.array([0, 0, 2]))  # n - 1 ids, but one edge twice
+
+    def test_tree_must_not_have_a_cycle(self):
+        """All four edges of a 4-loop reach every camera, but are one more than a tree has."""
+        g = TestSpanningTree().loop_graph(4)
+        with pytest.raises(ValueError, match="tree of 4 edges does not span the graph as a forest of 3"):
+            chain_init(g, np.arange(4))
 
     def test_one_chain_per_component(self):
-        """Chains start at the root and at the smallest camera of every other component."""
+        """Chains start at the smallest camera of every component, the pinned ones."""
         rng = np.random.default_rng(12)
         gt = np.stack([so3.random_rotation(rng) for _ in range(7)])
         pairs = [(0, 2), (1, 3), (2, 5), (0, 5), (3, 6)]  # components {0,2,5}, {1,3,6}, {4}
         g = ViewGraph(7, [EdgeMeasurement(i, j, gt[j] @ gt[i].T) for i, j in pairs])
-        for root in (0, 5):
-            stack = chain_init(g, (spanning_tree(g)[0], root))
-            for start, comp in ((root, [0, 2, 5]), (1, [1, 3, 6])):
-                np.testing.assert_array_equal(stack[start], np.eye(3))
-                for k in comp:  # exact up to the component's gauge
-                    assert so3.angular_distance_deg(stack[k], gt[k] @ gt[start].T) <= 1e-7
-            np.testing.assert_array_equal(stack[4], np.eye(3))
+        stack = chain_init(g, spanning_tree(g))
+        np.testing.assert_array_equal(g.smallest_cameras(), [0, 1, 4])
+        for start, comp in ((0, [0, 2, 5]), (1, [1, 3, 6])):
+            np.testing.assert_array_equal(stack[start], np.eye(3))
+            for k in comp:  # exact up to the component's gauge
+                assert so3.angular_distance_deg(stack[k], gt[k] @ gt[start].T) <= 1e-7
+        np.testing.assert_array_equal(stack[4], np.eye(3))
 
-    def test_root_and_edge_orientation(self):
-        """Rooted at 2: camera 1 is reached against its edge, camera 0 along it."""
-        g = ViewGraph(3, [EdgeMeasurement(0, 1, rz(10)), EdgeMeasurement(1, 2, rz(20))])
-        stack = chain_init(g, (list(g.edges), 2))
-        np.testing.assert_allclose(stack[1], rz(-20), atol=1e-15)
-        np.testing.assert_allclose(stack[0], rz(-30), atol=1e-15)
+    def test_edge_orientation(self):
+        """From start 0 over edges (0,2) and (1,2): camera 2 is reached along its
+        edge, camera 1 against its edge."""
+        g = ViewGraph(3, [EdgeMeasurement(0, 2, rz(10)), EdgeMeasurement(1, 2, rz(20))])
+        stack = chain_init(g, np.arange(2))
+        np.testing.assert_array_equal(stack[0], np.eye(3))
+        np.testing.assert_allclose(stack[2], rz(10), atol=1e-15)
+        np.testing.assert_allclose(stack[1], rz(-10), atol=1e-15)
+
+    @pytest.mark.parametrize("scene", ["loop", "general", "lone_camera_0"])
+    def test_bytes_match_per_edge_walk(self, scene):
+        """The edge-id walk gives the per-edge reference's bytes, on a loop scene, a
+        general scene, and a disconnected graph whose camera 0 has no edge."""
+        if scene == "lone_camera_0":
+            rng = np.random.default_rng(13)
+            pairs = [(1, 3), (3, 6), (1, 6), (2, 5), (5, 7), (7, 8), (2, 8)]  # 0 and 4 alone
+            g = ViewGraph(9, [EdgeMeasurement(i, j, so3.random_rotation(rng), random_spd(rng))
+                              for i, j in pairs])
+            assert g.components()[0] == [0]
+        else:
+            g = generate_scene(SceneSpec(kind=scene, n=60, p=0.2 if scene == "general" else None,
+                                         seed=5)).graph
+        tree = spanning_tree(g)
+        assert chain_init(g, tree).tobytes() == per_edge_chain_init(g, tree).tobytes()
 
 
 IDENTITY = " ".join(str(v) for v in np.eye(3).ravel())
@@ -1023,6 +1068,22 @@ class TestFileIO:
         path.write_text(f"ROT 0 {vals}\nROT 2 {vals}\n")
         with pytest.raises(GraphFormatError, match=r"missing camera ids \[1\]"):
             load_rotations(path)
+
+    def test_rotation_file_large_id_fails_fast(self, tmp_path):
+        """A two-line file with id 10^6 names a few missing ids and their count; the
+        check builds no set of every id up to the largest."""
+        path = tmp_path / "r.rot"
+        vals = " ".join(str(v) for v in np.eye(3).ravel())
+        path.write_text(f"ROT 0 {vals}\nROT 1000000 {vals}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError) as info:
+                load_rotations(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "missing camera ids [1, 2, 3, 4, 5] and 999994 more"
+        assert peak < 1 << 20
 
     def test_rotation_file_duplicate_id(self, tmp_path):
         path = tmp_path / "r.rot"
