@@ -35,7 +35,15 @@ def run_pipeline(
     robust_kind: str = "none",
     robust_cfg: RobustConfig | None = None,
 ) -> PipelineResult:
-    """Assemble, solve with coordinate descent, optionally refine robustly."""
+    """Assemble, solve with coordinate descent, optionally refine robustly.
+
+    Each stage's data is released when the stage ends: the connection blocks,
+    their neighbor tables and the initial stack go as soon as `acd_solve`
+    returns, so refinement holds only the graph and its own arrays. The
+    stages' wall times are `timings_ms["assemble"]`, `["init"]` (the start
+    stack, a spanning-tree chain for `init="mst"`), `["solve"]` and, with a
+    robust stage, `["refine"]`.
+    """
     if robust_kind not in ("none", "irls", "airls"):
         raise ValueError(f"unknown robust stage {robust_kind!r}")
     if robust_kind == "airls":  # before any stage: a ValueError naming an edge without a Hessian
@@ -45,12 +53,14 @@ def run_pipeline(
     with stage(timings, "assemble"):
         blocks = assemble_blocks(graph, cfg.mode)
 
-    if cfg.init == "mst":
-        init = chain_init(graph, spanning_tree(graph))
-    else:
-        init = make_init(cfg.init, graph.n, cfg.shuffle_seed)
+    with stage(timings, "init"):
+        if cfg.init == "mst":
+            init = chain_init(graph, spanning_tree(graph))
+        else:
+            init = make_init(cfg.init, graph.n, cfg.shuffle_seed)
     with stage(timings, "solve"):
         solve = acd_solve(blocks, cfg, init)
+    del blocks, init
 
     refine = None
     rotations = solve.rotations

@@ -185,6 +185,11 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
     graph takes Newton steps on all its components at once, and its stopping
     rule is global.
 
+    Newton steps read no neighbor tables: each switch to them releases the
+    tables (`ConnectionBlocks.drop_neighbor_tables`) before the pattern is
+    built, and a sweep after a Newton step fetches them again through
+    `nb.neighbor_tables()`, which rebuilds the same tables.
+
     Zero-start handling: a block equal to zero is unassigned. An unassigned
     camera whose gathered term is (near) zero, because all its neighbors are
     still unassigned, waits; the first such camera of the run is seeded with
@@ -224,6 +229,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
             if newton:
                 r = r_new
         if not newton:
+            if indices is None:  # the first sweep after a Newton step
+                indices, coeffs = nb.neighbor_tables()
             pending = np.random.default_rng([cfg.shuffle_seed, it]).permutation(n).tolist()
             while pending:
                 waited = []
@@ -272,6 +279,8 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         if tried and not (newton and fell):  # rejected, or flat: back to sweeps
             newton, retry_below = False, max_step / 10.0
         elif not newton and max_step < retry_below:
+            indices = coeffs = None  # released before the pattern is built, to lower the peak
+            nb.drop_neighbor_tables()
             pattern = pattern or _NormalPattern(nb)
             newton = True
 

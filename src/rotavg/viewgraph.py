@@ -388,6 +388,11 @@ class ConnectionBlocks(_Connectivity):
         of the blocks N_{m,k}^T side by side, in edge order, so that k's update target is
         coeffs[k] @ vstack(R[indices[k]]). coeffs[k] is C-contiguous, or F-contiguous if k
         is the j end of no edge (np.hstack's layout); the product's BLAS rounding follows it.
+
+        The first call builds the tables (about 160 B per edge) and these blocks keep them,
+        so that `solver.coordinate_update` gathers in O(degree). `solver.acd_solve` releases
+        them with `drop_neighbor_tables` while it takes Newton steps, which never read them;
+        the next call builds the same tables again.
         """
         if self._tables is not None:
             return self._tables
@@ -432,6 +437,10 @@ class ConnectionBlocks(_Connectivity):
                 indices[k], coeffs[k] = nbr, c
         self._tables = (indices, coeffs)
         return self._tables
+
+    def drop_neighbor_tables(self) -> None:
+        """Release the cached `neighbor_tables`; their holders' references keep them alive."""
+        self._tables = None
 
 
 def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:

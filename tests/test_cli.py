@@ -98,8 +98,9 @@ class TestSolveEval:
         assert data["rms_deg"] <= 1e-6
         assert data["aa"] == pytest.approx(100.0)
 
-    @pytest.mark.parametrize("robust, keys", [("none", {"load", "assemble", "solve", "save"}),
-                                              ("irls", {"load", "assemble", "solve", "refine", "save"})])
+    @pytest.mark.parametrize("robust, keys", [("none", {"load", "assemble", "init", "solve", "save"}),
+                                              ("irls", {"load", "assemble", "init", "solve", "refine",
+                                                        "save"})])
     def test_manifest_timings(self, noiseless_loop, tmp_path, robust, keys):
         vg, _ = noiseless_loop
         man = tmp_path / "m.json"
@@ -155,7 +156,7 @@ class TestSolveEval:
                         "--out", tmp_path / "e.rot", "--manifest", man, "--trace", trace,
                         "--robust-trace", rtrace]) == 0
         manifest = json.loads(man.read_text())
-        assert set(manifest["timings_ms"]) == {"load", "assemble", "solve", "refine", "save"}
+        assert set(manifest["timings_ms"]) == {"load", "assemble", "init", "solve", "refine", "save"}
         assert set(manifest["solve"]) == {"status", "sweeps", "newton_steps", "objective", "cg_iterations"}
         assert set(manifest["refine"]) == {"status", "iterations", "cost", "cg_iterations"}
         solve = manifest["solve"]

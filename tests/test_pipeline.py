@@ -1,6 +1,7 @@
 """Tests for the high-level solve pipeline."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from rotavg import metrics, pipeline, so3
 from rotavg.pipeline import run_pipeline
 from rotavg.robust import RobustConfig
-from rotavg.solver import SolverConfig
+from rotavg.solver import SolverConfig, acd_solve, make_init
 from rotavg.synth import SceneSpec, generate_scene
-from rotavg.viewgraph import EdgeMeasurement, ViewGraph
+from rotavg.viewgraph import EdgeMeasurement, ViewGraph, assemble_blocks, chain_init, spanning_tree
 
 
 @pytest.mark.parametrize("robust_kind", ["irls", "airls"])
@@ -32,6 +33,29 @@ def test_airls_checks_hessians_before_acd(monkeypatch):
     monkeypatch.setattr(pipeline, "acd_solve", lambda *args: pytest.fail("ACD ran"))
     with pytest.raises(ValueError, match=rf"edge \({g.i_idx[3]},{g.j_idx[3]}\) has none"):
         run_pipeline(g, SolverConfig(mode="iso"), "airls")
+
+
+@pytest.mark.parametrize("init", ["zeros", "mst"])
+def test_init_is_timed_and_the_solve_unchanged(init, monkeypatch):
+    """Every run times its start stack as timings_ms["init"], the spanning tree and
+    chain of an mst start included; the solve is that of acd_solve from the same start."""
+    g = generate_scene(SceneSpec(kind="general", n=30, p=0.3, seed=1)).graph
+    cfg = SolverConfig(init=init)
+    start = chain_init(g, spanning_tree(g)) if init == "mst" else make_init(init, g.n)
+    direct = acd_solve(assemble_blocks(g, cfg.mode), cfg, start)
+
+    def slow_chain_init(*args):
+        time.sleep(0.05)
+        return chain_init(*args)
+
+    monkeypatch.setattr(pipeline, "chain_init", slow_chain_init)
+    res = run_pipeline(g, cfg, "irls")
+    assert set(res.timings_ms) == {"assemble", "init", "solve", "refine"}
+    assert all(t >= 0 for t in res.timings_ms.values())
+    assert (res.timings_ms["init"] >= 50.0) == (init == "mst")
+    assert np.array_equal(res.solve.rotations, direct.rotations)
+    for name in ("objective_trace", "max_step_trace", "newton_trace", "cg_trace", "status"):
+        assert getattr(res.solve, name) == getattr(direct, name)
 
 
 def test_nan_relative_rotation_rejected():

@@ -542,6 +542,35 @@ class TestNewtonPolish:
         assert any(connected.newton_trace)
         assert all(c > 1 for c, newton in zip(connected.cg_trace, connected.newton_trace) if newton)
 
+    @pytest.mark.parametrize("n, p, seed, mode, init", [(30, 0.3, 1, "aniso", "zeros"),
+                                                        (60, 0.2, 9, "iso", "identity")])
+    def test_sweep_after_newton_rebuilds_the_tables(self, n, p, seed, mode, init, monkeypatch):
+        """Newton steps run without the neighbor tables; a sweep after one rebuilds them.
+        Solves on blocks that were solved on before, and a coordinate update after
+        them, equal those on fresh blocks bit for bit."""
+        g = generate_scene(SceneSpec(kind="general", n=n, p=p, seed=seed)).graph
+        nb, cfg = assemble_blocks(g, mode), SolverConfig(mode=mode)
+        tables_held, newton_iterate = [], solver._newton_iterate
+
+        def recording(nb, pattern, r):
+            tables_held.append(nb._tables is not None)
+            return newton_iterate(nb, pattern, r)
+
+        monkeypatch.setattr(solver, "_newton_iterate", recording)
+        runs = [acd_solve(nb, cfg, make_init(init, n)) for _ in range(2)]
+        monkeypatch.undo()
+        fresh = acd_solve(assemble_blocks(g, mode), cfg, make_init(init, n))
+        assert tables_held and not any(tables_held)
+        pattern = "".join("N" if newton else "s" for newton in fresh.newton_trace)
+        assert "Ns" in pattern
+        for res in runs:
+            assert np.array_equal(res.rotations, fresh.rotations)
+            for name in ("objective_trace", "max_step_trace", "newton_trace", "cg_trace", "status"):
+                assert getattr(res, name) == getattr(fresh, name)
+        r, other = make_init("random", n, seed=2), assemble_blocks(g, mode)
+        for k in range(n):
+            assert np.array_equal(coordinate_update(nb, r, k), coordinate_update(other, r, k))
+
     @pytest.mark.filterwarnings("ignore:1 vertices have no incident edges", "ignore:.*is unreachable")
     @pytest.mark.parametrize("case", ["disconnected", "isolated_vertex"])
     @pytest.mark.parametrize("init", ["zeros", "random"])
