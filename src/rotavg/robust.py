@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .viewgraph import ViewGraph, blockwise, clamp_psd, edge_blocks, write_csv
+from .viewgraph import RowError, ViewGraph, _check_rotations, blockwise, clamp_psd, edge_blocks, write_csv
 
 DEFAULT_TAU_DEG = 5.0
 MAX_OUTER_ITERS = 50
@@ -134,23 +134,18 @@ class _EdgeModel:
 
         return blockwise(len(omegas), block)
 
-    def effective_precisions(self, r: np.ndarray) -> _EffectivePrecisions | None:
-        """R_i^T H R_i per edge, the residual's precision at the iterate, formed
-        for the edges of a slice when sliced; None in iso (identity)."""
-        return None if self.mode == "iso" else _EffectivePrecisions(self, r)
+    def effective_precisions(self, r: np.ndarray):
+        """None in iso (identity); in aniso, a function that gives R_i^T H R_i, the
+        residual's precision at the iterate, as the (len(e), 3, 3) stack of the edges
+        of slice e, so that `_NormalPattern.assemble` never holds every edge's stack."""
+        if self.mode == "iso":
+            return None
 
+        def precisions(e: slice) -> np.ndarray:
+            ri = r.take(self.i_idx[e], axis=0)
+            return np.transpose(ri, (0, 2, 1)) @ self.h[e] @ ri
 
-class _EffectivePrecisions:
-    """`_EdgeModel.effective_precisions`: `[e]` gives the (len(e), 3, 3) stack for
-    the edges of slice e, so a consumer that takes one edge block at a time
-    (`_NormalPattern.assemble`) never holds the stack of every edge."""
-
-    def __init__(self, model: _EdgeModel, r: np.ndarray):
-        self.model, self.r = model, r
-
-    def __getitem__(self, e: slice) -> np.ndarray:
-        ri = self.r.take(self.model.i_idx[e], axis=0)
-        return np.transpose(ri, (0, 2, 1)) @ self.model.h[e] @ ri
+        return precisions
 
 
 class _NormalPattern:
@@ -221,7 +216,7 @@ class _NormalPattern:
         """(A, rhs, diagonal) of the system for these edge values.
 
         The blocks -w_e P_e are written into the slots one edge block at a
-        time, each reading its `precisions[e]` (see `solve_normal_equations`).
+        time, each reading its `precisions(e)` (see `solve_normal_equations`).
         Without precisions (iso), A is the m x m CSR weighted Laplacian, rhs
         has one column per tangent axis and the diagonal is a vector.
         """
@@ -233,7 +228,7 @@ class _NormalPattern:
         else:
             data, wp_omega = np.empty((self.slots, 3, 3)), np.empty((len(w), 3))
             for e in edge_blocks(len(w)):
-                wh = w[e, None, None] * precisions[e]
+                wh = w[e, None, None] * precisions(e)
                 wp_omega[e] = np.einsum("eab,eb->ea", wh, omegas[e])
                 data[self.upper_slot[e]] = data[self.lower_slot[e]] = -wh
         # The slots hold -w P: 0.0 - sum is the sum of the w P bit for bit, a zero sum as +0.0.
@@ -313,15 +308,14 @@ def solve_normal_equations(
     """(step, CG iterations) of the weighted Gauss-Newton step for
     min sum w_e |D_e(delta_j - delta_i - w~_e)|^2.
 
-    `precisions` holds D_e^T D_e per edge: an (E, 3, 3) array, or anything whose
-    `[e]` gives those rows for a slice e of edges. The smallest camera of each
-    component is pinned (its delta is 0); the returned (n, 3) step includes
-    the pinned zero rows. Each call fills
-    the blocks -w_e P_e and the diagonal sums into `pattern` and solves by
-    `block_jacobi_cg`, with a direct sparse solve as fallback (the iterations
-    count the CG that failed). No precisions
-    means the identity on every edge (iso): the system is then the weighted
-    Laplacian with three right-hand-side columns.
+    `precisions(e)` gives D_e^T D_e as the (len(e), 3, 3) stack of the edges of
+    slice e (for an (E, 3, 3) array, its bound `__getitem__`). The smallest camera
+    of each component is pinned (its delta is 0); the returned (n, 3) step
+    includes the pinned zero rows. Each call fills the blocks -w_e P_e and the
+    diagonal sums into `pattern` and solves by `block_jacobi_cg`, with a direct
+    sparse solve as fallback (the iterations count the CG that failed). No
+    precisions means the identity on every edge (iso): the system is then the
+    weighted Laplacian with three right-hand-side columns.
 
     Raises:
         ValueError: if the system is singular (a camera whose edges carry
@@ -354,14 +348,23 @@ def robust_refine(g: ViewGraph, r0: np.ndarray, cfg: RobustConfig) -> RefineResu
     If it still rises after MAX_HALVINGS halvings, the refinement ends
     "stalled": it keeps the last iterate and appends the unchanged cost, a
     step of 0.0 and MAX_HALVINGS halvings to the traces.
+
+    Raises:
+        ValueError: if r0 is not an (n, 3, 3) stack, or naming the first camera whose
+            start is off SO(3) beyond viewgraph.OFF_MANIFOLD_TOL (the rotation-file rule;
+            a start within it is re-projected in the refinement's own copy).
     """
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (g.n, 3, 3):
         raise ValueError(f"initial stack shape {r0.shape} does not match n={g.n}")
+    r = r0.copy()
+    try:
+        _check_rotations(r)
+    except RowError as exc:
+        raise ValueError(f"initial stack, camera {exc.index}: {exc}") from None
     pattern = _NormalPattern(g)
     model = _EdgeModel(g, cfg.mode)
     tau = np.radians(cfg.tau_deg)
-    r = r0.copy()
 
     omegas = model.residuals(r)
     norms = model.whitened_norms(r, omegas)

@@ -49,6 +49,7 @@ class SolverConfig:
         if self.mode not in ("iso", "aniso"):
             raise ValueError(f"unknown mode {self.mode!r}")
         check_count(self.max_sweeps, "max_sweeps")
+        check_count(self.shuffle_seed, "shuffle_seed", minimum=0)
         if not (self.objective_tol > 0 and self.step_tol_deg > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
 

@@ -91,7 +91,7 @@ def sample_hessian(rng: np.random.Generator) -> np.ndarray:
 
 
 def _perturb_draws(count: int, sigma_deg: float, gamma: float, rng) -> tuple:
-    """perturb_hessian's draws for `count` edges, edge by edge: normals (count, 4)
+    """The perturbation's draws for `count` edges, edge by edge: normals (count, 4)
     for the axis and angle, uniforms (count, 3) for the eigenvalue increments.
     A part that is off draws nothing and stays zero."""
     x, u = np.zeros((count, 4)), np.zeros((count, 3))
@@ -104,23 +104,14 @@ def _perturb_draws(count: int, sigma_deg: float, gamma: float, rng) -> tuple:
 
 
 def _perturbed(lam, v, x, u, sigma_deg: float, gamma: float) -> np.ndarray:
-    """perturb_hessian's arithmetic on eigenpairs (lam, v) and draws (x, u), over
-    leading axes: numpy's normal(0, s) is 0.0 + s x, and its uniform(0, s) is s u."""
+    """(V * lam) V^T of eigenpairs perturbed by draws (x, u), over leading axes: v turned
+    N(0, sigma) degrees about a random axis, lam raised by U(0, gamma * mean(lam)).
+    numpy's normal(0, s) is 0.0 + s x, and its uniform(0, s) is s u."""
     if sigma_deg > 0:
         v = so3.exp_so3(np.radians(0.0 + sigma_deg * x[..., 3:]) * so3.unit(x[..., :3])) @ v
     if gamma > 0:
         lam = lam + gamma * lam.mean(axis=-1, keepdims=True) * u
     return _compose(v, lam)
-
-
-def perturb_hessian(
-    h: np.ndarray, sigma_deg: float, gamma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturb eigenvectors (random-axis rotation, N(0, sigma) degrees) and
-    eigenvalues (additive U(0, gamma * mean eigenvalue))."""
-    lam, v = np.linalg.eigh(np.asarray(h, dtype=float))
-    x, u = _perturb_draws(1, sigma_deg, gamma, rng)
-    return _perturbed(lam, v, x[0], u[0], sigma_deg, gamma)
 
 
 def _noisy(rel_true, h, z, noise_scale: float) -> np.ndarray:
@@ -208,8 +199,8 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
 
 
 def perturbed_graph(scene: SyntheticScene, sigma_deg: float, gamma: float, seed: int) -> ViewGraph:
-    """Copy of the scene graph with every edge Hessian perturbed: per edge block,
-    one stacked eigendecomposition, then perturb_hessian's draws edge by edge."""
+    """Copy of the scene graph with every edge Hessian perturbed (`_perturbed`): per
+    edge block, one stacked eigendecomposition, then the draws edge by edge."""
     rng = np.random.default_rng(seed)
     g = scene.graph
 

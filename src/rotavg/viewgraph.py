@@ -323,22 +323,9 @@ class ViewGraph(_Connectivity):
         return self.hess
 
 
-def anisotropic_weight(h: np.ndarray) -> np.ndarray:
-    """Map an edge Hessian to its chordal weight 0.5*tr(h)*I - h.
-
-    Works on one 3x3 matrix or a stack over leading axes.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape[-2:] != (3, 3):
-        raise ValueError(f"expected 3x3 Hessian, got {h.shape}")
-    skew = h - np.swapaxes(h, -1, -2)  # the rule of _check_edges: |skew|_F <= SYMMETRY_TOL
-    if np.any(np.einsum("...ab,...ab->...", skew, skew) > SYMMETRY_TOL**2):
-        raise ValueError("Hessian not symmetric within tolerance")
-    return _chordal_weight(h)
-
-
 def _chordal_weight(h: np.ndarray) -> np.ndarray:
-    """0.5*tr(h)*I - h over leading axes, unchecked."""
+    """The chordal weight 0.5*tr(h)*I - h of edge Hessians over leading axes; unchecked,
+    as every graph's Hessians passed `_check_edges`, symmetry included."""
     return 0.5 * np.trace(h, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - h
 
 

@@ -226,6 +226,14 @@ class TestSolveEval:
             load_rotations(robust), load_rotations(plain), atol=1e-9
         )
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        """--seed sets SolverConfig.shuffle_seed, which is checked before any stage runs."""
+        vg, est = tmp_path / "s.vg", tmp_path / "e.rot"
+        assert run(["synth", "--kind", "loop", "--n", 5, "--out", vg]) == 0
+        assert run(["solve", "--in", vg, "--seed", -1, "--out", est]) == 1
+        assert "error: shuffle_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not est.exists()
+
     def test_aniso_without_hessians_exit_1(self, tmp_path, capsys):
         vg = tmp_path / "bare.vg"
         vals = " ".join("%.17g" % v for v in np.eye(3).ravel())

@@ -163,7 +163,7 @@ class TestNormalEquations:
         weights = np.ones(e_count)
         precisions = np.tile(np.eye(3), (e_count, 1, 1))
         omegas = 0.1 * rng.standard_normal((e_count, 3))
-        delta, _ = solve_normal_equations(robust._NormalPattern(g), weights, precisions, omegas)
+        delta, _ = solve_normal_equations(robust._NormalPattern(g), weights, precisions.__getitem__, omegas)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         # Dense reference: least squares on J delta = stacked residuals with
         # row blocks (delta_j - delta_i) and camera 0 eliminated.
@@ -201,10 +201,11 @@ class TestNormalEquations:
         pattern = robust._NormalPattern(g)
         if iso:
             precisions = np.tile(np.eye(3), (e_count, 1, 1))
-        delta, iterations = solve_normal_equations(pattern, weights, None if iso else precisions, omegas)
+        delta, iterations = solve_normal_equations(pattern, weights, None if iso else precisions.__getitem__,
+                                                   omegas)
         assert len(spsolves) == cg_fails and (iterations == 1 if cg_fails else iterations > 1)
         if iso and not cg_fails:
-            block, _ = solve_normal_equations(pattern, weights, precisions, omegas)
+            block, _ = solve_normal_equations(pattern, weights, precisions.__getitem__, omegas)
             assert np.array_equal(delta, block)
         np.testing.assert_array_equal(delta[0], np.zeros(3))
         m = g.n - 1
@@ -234,9 +235,9 @@ class TestNormalEquations:
         pattern = robust._NormalPattern(g)
         if iso:
             precisions = np.tile(np.eye(3), (e_count, 1, 1))
-            block, _ = solve_normal_equations(pattern, weights, precisions, omegas)
+            block, _ = solve_normal_equations(pattern, weights, precisions.__getitem__, omegas)
             assert np.array_equal(solve_normal_equations(pattern, weights, None, omegas)[0], block)
-        a, rhs, _ = pattern.assemble(weights, None if iso else precisions, omegas)
+        a, rhs, _ = pattern.assemble(weights, None if iso else precisions.__getitem__, omegas)
         a, rhs = (np.kron(a.toarray(), np.eye(3)), rhs.ravel()) if iso else (a.toarray(), rhs)
         m = g.n - 1
         want_a, want_rhs = np.zeros((m, 3, m, 3)), np.zeros((m, 3))
@@ -266,15 +267,15 @@ class TestNormalEquations:
         assert np.flatnonzero(~pattern.free).tolist() == pinned and pattern.m == 4 - len(pinned)
         weights, omegas = rng.uniform(0.1, 1.0, len(pairs)), rng.standard_normal((len(pairs), 3))
         precisions = np.stack([random_spd(rng) for _ in pairs])
-        delta, _ = solve_normal_equations(pattern, weights, precisions, omegas)
+        delta, _ = solve_normal_equations(pattern, weights, precisions.__getitem__, omegas)
         assert not delta[pinned].any() and np.all(delta[pattern.free] != 0.0)
         for comp in g.components():
             ids = [e for e, (i, _) in enumerate(pairs) if i in comp]
             sub = ViewGraph(len(comp), [
                 EdgeMeasurement(comp.index(pairs[e][0]), comp.index(pairs[e][1]), np.eye(3)) for e in ids
             ])
-            alone, _ = solve_normal_equations(robust._NormalPattern(sub), weights[ids], precisions[ids],
-                                              omegas[ids])
+            alone, _ = solve_normal_equations(robust._NormalPattern(sub), weights[ids],
+                                              precisions[ids].__getitem__, omegas[ids])
             np.testing.assert_allclose(delta[comp], alone, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
@@ -290,7 +291,7 @@ class TestNormalEquations:
         e_count = len(g.edges)
         weights = rng.uniform(0.1, 1.0, e_count)
         weights[(g.i_idx == 3) | (g.j_idx == 3)] = weight
-        precisions = None if iso else np.stack([random_spd(rng) for _ in range(e_count)])
+        precisions = None if iso else np.stack([random_spd(rng) for _ in range(e_count)]).__getitem__
         with pytest.raises(ValueError, match="singular"):
             solve_normal_equations(
                 robust._NormalPattern(g), weights, precisions, 0.1 * np.ones((e_count, 3))
@@ -306,7 +307,7 @@ class TestNormalEquations:
         weights[(g.i_idx == 3) | (g.j_idx == 3)] = np.nan
         omegas = np.full((len(weights), 3), 0.1)
         with pytest.raises(ValueError, match="singular"):
-            solve_normal_equations(robust._NormalPattern(g), weights, g.hessian_stack(), omegas)
+            solve_normal_equations(robust._NormalPattern(g), weights, g.hessian_stack().__getitem__, omegas)
         assert cg_calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -324,7 +325,7 @@ class TestNormalEquations:
         delta, _ = solve_normal_equations(
             robust._NormalPattern(g),
             rng.uniform(0.1, 1.0, e_count),
-            np.stack([random_spd(rng) for _ in range(e_count)]),
+            np.stack([random_spd(rng) for _ in range(e_count)]).__getitem__,
             0.05 * rng.standard_normal((e_count, 3)),
         )
         assert np.all(np.isfinite(delta))
@@ -459,6 +460,29 @@ class TestRobustRefine:
     def test_config_rejects_nan_negative_and_unknown_mode(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             RobustConfig(**{field: value})
+
+    @pytest.mark.parametrize("start", ["twice_identity", "reflection", "zero", "nan"])
+    def test_rejects_start_off_so3(self, start):
+        """A start off SO(3) fails before the refinement runs, naming its camera."""
+        g = generate_scene(SceneSpec(kind="general", n=12, p=0.6, seed=3)).graph
+        r0 = np.tile(np.eye(3), (12, 1, 1))
+        r0[4] = {"twice_identity": 2.0 * np.eye(3), "reflection": np.diag([1.0, 1.0, -1.0]),
+                 "zero": np.zeros((3, 3)), "nan": np.full((3, 3), np.nan)}[start]
+        with pytest.raises(ValueError, match=r"initial stack, camera 4: rotation off SO\(3\)"):
+            robust_refine(g, r0, RobustConfig(mode="aniso"))
+
+    def test_start_near_so3_is_projected(self):
+        """A start within the rotation-file tolerance refines as its projection does."""
+        g = generate_scene(SceneSpec(kind="general", n=12, p=0.6, seed=3)).graph
+        r0 = so3.quaternion_rotation(np.random.default_rng(1).standard_normal((12, 4)))
+        near = r0.copy()
+        near[4] *= 1.0 + 1e-8
+        cfg = RobustConfig(mode="aniso")
+        assert so3.rotation_defect(near[4]) > so3.ROTATION_TOL
+        got = robust_refine(g, near, cfg)
+        assert np.array_equal(near[4], r0[4] * (1.0 + 1e-8))  # the caller's stack is not touched
+        near[4] = so3.project_so3(near[4])
+        assert np.array_equal(got.rotations, robust_refine(g, near, cfg).rotations)
 
     def test_fixed_point_on_noiseless_data(self):
         rng = np.random.default_rng(5)

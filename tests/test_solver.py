@@ -70,6 +70,14 @@ class TestSolverConfig:
     def test_numpy_integer_sweeps_pass(self):
         assert SolverConfig(max_sweeps=np.int64(3)).max_sweeps == 3
 
+    @pytest.mark.parametrize("value", [-1, 2.5, "3", float("nan")])
+    def test_rejects_invalid_shuffle_seed(self, value):
+        with pytest.raises(ValueError, match="shuffle_seed must be an integer >= 0"):
+            SolverConfig(shuffle_seed=value)
+
+    def test_numpy_integer_shuffle_seed_passes(self):
+        assert SolverConfig(shuffle_seed=np.int64(3)).shuffle_seed == 3
+
     @pytest.mark.parametrize("field, value, match", [
         ("init", "centroid", "unknown init 'centroid'"),
         ("init", "Zeros", "unknown init 'Zeros'"),

@@ -20,7 +20,6 @@ from rotavg.viewgraph import (
     GraphFormatError,
     RowError,
     ViewGraph,
-    anisotropic_weight,
     assemble_blocks,
     chain_init,
     clamp_psd,
@@ -398,54 +397,49 @@ class TestFromArrays:
 
 
 class TestAnisotropicWeight:
+    """`viewgraph._chordal_weight`, the one chordal weight 0.5 tr(H) I - H."""
+
     def test_identity(self):
-        np.testing.assert_allclose(anisotropic_weight(np.eye(3)), 0.5 * np.eye(3))
+        np.testing.assert_allclose(viewgraph._chordal_weight(np.eye(3)), 0.5 * np.eye(3))
 
     def test_diagonal(self):
-        got = anisotropic_weight(np.diag([1.0, 2.0, 3.0]))
+        got = viewgraph._chordal_weight(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(got, np.diag([2.0, 1.0, 0.0]))
 
     def test_twice_identity_gives_identity(self):
-        np.testing.assert_allclose(anisotropic_weight(2 * np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(viewgraph._chordal_weight(2 * np.eye(3)), np.eye(3))
 
     def test_linear(self):
         rng = np.random.default_rng(0)
         h1, h2 = random_spd(rng), random_spd(rng)
-        got = anisotropic_weight(2.0 * h1 + 3.0 * h2)
-        want = 2.0 * anisotropic_weight(h1) + 3.0 * anisotropic_weight(h2)
+        got = viewgraph._chordal_weight(2.0 * h1 + 3.0 * h2)
+        want = 2.0 * viewgraph._chordal_weight(h1) + 3.0 * viewgraph._chordal_weight(h2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_trace_halved(self):
         h = random_spd(np.random.default_rng(1))
-        assert np.trace(anisotropic_weight(h)) == pytest.approx(0.5 * np.trace(h))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            anisotropic_weight(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1.0]]))
+        assert np.trace(viewgraph._chordal_weight(h)) == pytest.approx(0.5 * np.trace(h))
 
     def test_stack_matches_single(self):
         rng = np.random.default_rng(6)
         hs = np.stack([random_spd(rng) for _ in range(5)])
-        got = anisotropic_weight(hs)
+        got = viewgraph._chordal_weight(hs)
         for h, m in zip(hs, got):
-            np.testing.assert_array_equal(m, anisotropic_weight(h))
-
-    def test_rejects_asymmetric_in_stack(self):
-        hs = np.stack([np.eye(3), np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1.0]])])
-        with pytest.raises(ValueError, match="symmetric"):
-            anisotropic_weight(hs)
+            np.testing.assert_array_equal(m, viewgraph._chordal_weight(h))
 
     @pytest.mark.parametrize("check", ["single", "stack", "edge"])
     @pytest.mark.parametrize("factor", [0.99, 1.01])
     def test_symmetry_bound_is_the_skew_norm(self, check, factor):
         """A skew part of Frobenius norm `factor` * SYMMETRY_TOL fails only above the
-        bound, in anisotropic_weight (one matrix or a stack) and in the edge validator."""
+        bound, in the edge validator that the weight relies on: on a one-edge graph, on
+        a stack of three (whose PSD test is the Cholesky certificate) and on one edge."""
         t = factor * SYMMETRY_TOL / (2.0 * np.sqrt(2.0))  # |h - h^T|_F = 2 * sqrt(2) * t
         h = 2.0 * np.eye(3)
         h[0, 1], h[1, 0] = t, -t
         call = {
-            "single": lambda: anisotropic_weight(h),
-            "stack": lambda: anisotropic_weight(np.stack([np.eye(3), h, np.eye(3)])),
+            "single": lambda: ViewGraph.from_arrays(2, [0], [1], np.eye(3)[None], h[None]),
+            "stack": lambda: ViewGraph.from_arrays(4, [0, 1, 2], [1, 2, 3], np.tile(np.eye(3), (3, 1, 1)),
+                                                   np.stack([np.eye(3), h, np.eye(3)])),
             "edge": lambda: EdgeMeasurement(0, 1, np.eye(3), h),
         }[check]
         if factor > 1:
@@ -664,7 +658,7 @@ class TestAssembleBlocks:
         np.testing.assert_array_equal(nb.i_idx, [i for i, _ in pairs])
         np.testing.assert_array_equal(nb.j_idx, [j for _, j in pairs])
         for e, edge in enumerate(g.edges):
-            m = anisotropic_weight(edge.hessian) if mode == "aniso" else np.eye(3)
+            m = viewgraph._chordal_weight(edge.hessian) if mode == "aniso" else np.eye(3)
             np.testing.assert_array_equal(nb.lower[e], m @ edge.rel)
 
     def test_rejects_unknown_mode(self):
@@ -674,9 +668,8 @@ class TestAssembleBlocks:
 
     @pytest.mark.parametrize("block", [3, EDGE_BLOCK])
     def test_blocked_lower_equals_checked_weight(self, block, monkeypatch):
-        """assemble_blocks forms 0.5 tr(H) I - H one edge block at a time and does not
-        re-check the symmetry the graph's validator checked: `lower` equals the
-        one-stack formula byte for byte, zeros included."""
+        """assemble_blocks forms 0.5 tr(H) I - H one edge block at a time: `lower`
+        equals the one-stack formula byte for byte, zeros included."""
         monkeypatch.setattr(viewgraph, "EDGE_BLOCK", block)
         rng = np.random.default_rng(8)
         i, j, rel, hess = star_arrays(4 * block + 1)
@@ -686,10 +679,8 @@ class TestAssembleBlocks:
         hess[1::4] = np.diag([1.0, 1.0, 0.0])  # 0.5 tr(H) I - H has a zero row: lower has zero rows
         rel[::3] = np.diag([1.0, -1.0, -1.0])
         g = ViewGraph.from_arrays(len(i) + 1, i, j, rel, hess)
-        monkeypatch.setattr(viewgraph, "anisotropic_weight", lambda h: pytest.fail("re-checked"))
         lower = assemble_blocks(g, "aniso").lower
         weight = 0.5 * np.trace(g.hess, axis1=1, axis2=2)[:, None, None] * np.eye(3) - g.hess
-        assert np.array_equal(anisotropic_weight(g.hess), weight)  # the checking one, imported here
         want = weight @ g.rel
         assert lower.tobytes() == want.tobytes() and (want == 0.0).any()
 
