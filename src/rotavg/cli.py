@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__, metrics, synth
-from .robust import DEFAULT_TAU_DEG, RobustConfig, write_robust_trace_csv
-from .solver import (DEFAULT_MAX_SWEEPS, DEFAULT_OBJECTIVE_TOL, DEFAULT_STEP_TOL_DEG,
-                     SolverConfig, write_trace_csv)
-from .pipeline import run_pipeline, stage
-from .viewgraph import load_rotations, load_view_graph, save_rotations, save_view_graph
+from .robust import RobustConfig, write_robust_trace_csv
+from .solver import INITS, SolverConfig, write_trace_csv
+from .pipeline import ROBUST_STAGES, run_pipeline, stage
+from .viewgraph import MODES, load_rotations, load_view_graph, save_rotations, save_view_graph
 
 
 def _write_manifest(args, timings_ms, **outcomes) -> None:
@@ -36,15 +36,7 @@ def _write_manifest(args, timings_ms, **outcomes) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SceneSpec(
-        kind=args.kind,
-        n=args.n,
-        p=args.p,
-        noise_scale=args.noise_scale,
-        perturb_sigma_deg=args.perturb_sigma_deg,
-        perturb_gamma=args.perturb_gamma,
-        seed=args.seed,
-    )
+    spec = synth.SceneSpec(**{f.name: getattr(args, f.name) for f in fields(synth.SceneSpec)})
     timings = {}
     with stage(timings, "generate"):
         scene = synth.generate_scene(spec)
@@ -131,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene")
-    p_synth.add_argument("--kind", choices=["loop", "general"], required=True)
-    p_synth.add_argument("--n", type=int, default=100)
-    p_synth.add_argument("--p", type=float, default=None)
-    p_synth.add_argument("--noise-scale", type=float, default=1.0)
-    p_synth.add_argument("--perturb-sigma-deg", type=float, default=0.0)
-    p_synth.add_argument("--perturb-gamma", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--kind", choices=synth.SCENE_KINDS, required=True)
+    p_synth.add_argument("--n", type=int, default=synth.SceneSpec.n)
+    p_synth.add_argument("--p", type=float, default=synth.SceneSpec.p)
+    p_synth.add_argument("--noise-scale", type=float, default=synth.SceneSpec.noise_scale)
+    p_synth.add_argument("--perturb-sigma-deg", type=float, default=synth.SceneSpec.perturb_sigma_deg)
+    p_synth.add_argument("--perturb-gamma", type=float, default=synth.SceneSpec.perturb_gamma)
+    p_synth.add_argument("--seed", type=int, default=synth.SceneSpec.seed)
     p_synth.add_argument("--out", required=True, help="view-graph output path")
     p_synth.add_argument("--gt", default=None, help="ground-truth rotation file")
     p_synth.add_argument("--manifest", default=None)
@@ -145,16 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the coordinate-descent solver")
     p_solve.add_argument("--in", required=True, help="view-graph input path")
-    p_solve.add_argument(
-        "--init", choices=["zeros", "identity", "random", "mst"], default="zeros"
-    )
-    p_solve.add_argument("--mode", choices=["iso", "aniso"], default="aniso")
-    p_solve.add_argument("--robust", choices=["none", "irls", "airls"], default="none")
-    p_solve.add_argument("--tau-deg", type=float, default=DEFAULT_TAU_DEG)
-    p_solve.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
-    p_solve.add_argument("--obj-tol", type=float, default=DEFAULT_OBJECTIVE_TOL)
-    p_solve.add_argument("--step-tol", type=float, default=DEFAULT_STEP_TOL_DEG)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--init", choices=INITS, default=SolverConfig.init)
+    p_solve.add_argument("--mode", choices=MODES, default=SolverConfig.mode)
+    p_solve.add_argument("--robust", choices=ROBUST_STAGES, default="none")
+    p_solve.add_argument("--tau-deg", type=float, default=RobustConfig.tau_deg)
+    p_solve.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
+    p_solve.add_argument("--obj-tol", type=float, default=SolverConfig.objective_tol)
+    p_solve.add_argument("--step-tol", type=float, default=SolverConfig.step_tol_deg)
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.shuffle_seed)
     p_solve.add_argument("--per-component", action="store_true",
                          help="allow a disconnected graph; each component gets its own gauge")
     p_solve.add_argument("--out", required=True, help="rotation output path")

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
+from .viewgraph import check_real
 
 AA_THRESHOLDS_DEG = np.arange(1, 201) / 10.0  # 0.1, 0.2, ..., 20.0
 
@@ -43,8 +44,7 @@ def auc(errors_deg, n_deg: float) -> float:
     errors = np.asarray(errors_deg, dtype=float)
     if errors.size == 0:
         raise ValueError("empty error list")
-    if not 0 < n_deg < np.inf:  # NaN fails too
-        raise ValueError("threshold must be positive and finite")
+    check_real(n_deg, "threshold", lambda t: 0 < t < np.inf, "positive and finite")
     return float(100.0 * np.mean(np.maximum(0.0, n_deg - np.minimum(errors, n_deg)) / n_deg))
 
 

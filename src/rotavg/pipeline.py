@@ -10,7 +10,9 @@ import numpy as np
 
 from .robust import RefineResult, RobustConfig, robust_refine
 from .solver import SolveResult, SolverConfig, acd_solve, make_init
-from .viewgraph import ViewGraph, assemble_blocks, chain_init, spanning_tree
+from .viewgraph import ViewGraph, assemble_blocks, chain_init, check_choice, spanning_tree
+
+ROBUST_STAGES = ("none", "irls", "airls")
 
 
 @dataclass
@@ -43,9 +45,11 @@ def run_pipeline(
     stages' wall times are `timings_ms["assemble"]`, `["init"]` (the start
     stack, a spanning-tree chain for `init="mst"`), `["solve"]` and, with a
     robust stage, `["refine"]`.
+
+    `robust_kind` (one of ROBUST_STAGES) sets the refinement mode, replacing
+    `robust_cfg.mode`: "airls" refines aniso, "irls" iso. Only `tau_deg` is read.
     """
-    if robust_kind not in ("none", "irls", "airls"):
-        raise ValueError(f"unknown robust stage {robust_kind!r}")
+    check_choice(robust_kind, "robust stage", ROBUST_STAGES)
     if robust_kind == "airls":  # before any stage: a ValueError naming an edge without a Hessian
         graph.hessian_stack()
     timings: dict[str, float] = {}

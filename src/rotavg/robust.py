@@ -43,9 +43,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import so3
-from .viewgraph import RowError, ViewGraph, _check_rotations, blockwise, clamp_psd, edge_blocks, write_csv
+from .viewgraph import (MODES, RowError, ViewGraph, _check_rotations, blockwise, check_choice, check_real,
+                        clamp_psd, edge_blocks, write_csv)
 
-DEFAULT_TAU_DEG = 5.0
 MAX_OUTER_ITERS = 50
 MAX_HALVINGS = 10
 # A refinement converges once its largest camera step falls below this.
@@ -57,14 +57,12 @@ CG_RTOL = 1e-12
 
 @dataclass
 class RobustConfig:
-    tau_deg: float = DEFAULT_TAU_DEG
-    mode: str = "iso"  # iso | aniso
+    tau_deg: float = 5.0
+    mode: str = "iso"
 
     def __post_init__(self):
-        if not 0 < self.tau_deg < np.inf:  # NaN fails too
-            raise ValueError("tau_deg must be positive and finite")
-        if self.mode not in ("iso", "aniso"):
-            raise ValueError(f"unknown robust mode {self.mode!r}")
+        check_real(self.tau_deg, "tau_deg", lambda t: 0 < t < np.inf, "positive and finite")
+        check_choice(self.mode, "robust mode", MODES)
 
 
 @dataclass

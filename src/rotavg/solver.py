@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
-from .robust import _NormalPattern, block_jacobi_cg
-from .viewgraph import ConnectionBlocks, blockwise, check_count, edge_blocks, write_csv
+from . import robust, so3
+from .viewgraph import (MODES, ConnectionBlocks, blockwise, check_choice, check_count, check_real,
+                        edge_blocks, write_csv)
 
-DEFAULT_MAX_SWEEPS = 1000
-DEFAULT_OBJECTIVE_TOL = 1e-12
-DEFAULT_STEP_TOL_DEG = 1e-7
+INITS = ("zeros", "identity", "random", "mst")
 # A Newton step's CG stops at this residual relative to the gradient, or fails
 # after NEWTON_CG_MAXITER iterations.
 NEWTON_CG_RTOL = 1e-4
@@ -36,22 +34,20 @@ _AXIAL = ((5, 7), (6, 2), (1, 3))
 
 @dataclass
 class SolverConfig:
-    init: str = "zeros"  # zeros | identity | random | mst
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
-    objective_tol: float = DEFAULT_OBJECTIVE_TOL
-    step_tol_deg: float = DEFAULT_STEP_TOL_DEG
+    init: str = "zeros"
+    max_sweeps: int = 1000
+    objective_tol: float = 1e-12
+    step_tol_deg: float = 1e-7
     shuffle_seed: int = 0
     mode: str = "aniso"
 
     def __post_init__(self):
-        if self.init not in ("zeros", "identity", "random", "mst"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.mode not in ("iso", "aniso"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_choice(self.init, "init", INITS)
+        check_choice(self.mode, "mode", MODES)
         check_count(self.max_sweeps, "max_sweeps")
         check_count(self.shuffle_seed, "shuffle_seed", minimum=0)
-        if not (self.objective_tol > 0 and self.step_tol_deg > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        check_real(self.objective_tol, "objective_tol", lambda t: t > 0, "positive")
+        check_real(self.step_tol_deg, "step_tol_deg", lambda t: t > 0, "positive")
 
 
 @dataclass
@@ -149,8 +145,8 @@ def _newton_iterate(nb: ConnectionBlocks, pattern, r: np.ndarray) -> tuple[np.nd
     """([R_k exp(x_k)] for the Newton step x (x_k = 0 at the pinned cameras), or None
     if CG gives no step; the CG iterations run)."""
     try:
-        x, iterations = block_jacobi_cg(*newton_system(nb, pattern, r), maxiter=NEWTON_CG_MAXITER,
-                                        rtol=NEWTON_CG_RTOL)
+        x, iterations = robust.block_jacobi_cg(*newton_system(nb, pattern, r),
+                                               maxiter=NEWTON_CG_MAXITER, rtol=NEWTON_CG_RTOL)
     except np.linalg.LinAlgError:  # a diagonal block not finite and invertible
         return None, 0
     if x is None:
@@ -282,7 +278,7 @@ def acd_solve(nb: ConnectionBlocks, cfg: SolverConfig, init: np.ndarray) -> Solv
         elif not newton and max_step < retry_below:
             indices = coeffs = None  # released before the pattern is built, to lower the peak
             nb.drop_neighbor_tables()
-            pattern = pattern or _NormalPattern(nb)
+            pattern = pattern or robust._NormalPattern(nb)
             newton = True
 
     if lone:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .viewgraph import ViewGraph, blockwise, check_count, edge_blocks
+from .viewgraph import ViewGraph, blockwise, check_choice, check_count, check_real, edge_blocks
 
+SCENE_KINDS = ("loop", "general")
 EIGENVALUE_LOWER_LO = 10.0
 EIGENVALUE_LOWER_HI = 100.0
 MAX_REDRAWS = 100
@@ -39,7 +40,7 @@ _PAIR_BLOCK = 1 << 16
 
 @dataclass
 class SceneSpec:
-    kind: str = "general"  # loop | general
+    kind: str = "general"
     n: int = 100
     p: float | None = None  # general scenes: edge fraction, U(0.1, 1) when unset
     noise_scale: float = 1.0
@@ -48,20 +49,16 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("loop", "general"):
-            raise ValueError(f"unknown scene kind {self.kind!r}")
+        check_choice(self.kind, "scene kind", SCENE_KINDS)
         if self.kind == "loop":  # n = 2 would list edge (0, 1) twice
             check_count(self.n, "number of cameras n of a loop scene", minimum=3)
         else:
             check_count(self.n, "number of cameras n", minimum=2)
         check_count(self.seed, "seed", minimum=0)
-        if self.p is not None and not (0.0 < self.p <= 1.0):
-            raise ValueError("edge fraction p must be in (0, 1]")
-        if not 0 <= self.noise_scale < np.inf:  # NaN fails too
-            raise ValueError("noise_scale must be finite and nonnegative")
-        for name in ("perturb_sigma_deg", "perturb_gamma"):
-            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if self.p is not None:
+            check_real(self.p, "edge fraction p", lambda p: 0.0 < p <= 1.0, "in (0, 1]")
+        for name in ("noise_scale", "perturb_sigma_deg", "perturb_gamma"):
+            check_real(getattr(self, name), name, lambda x: 0 <= x < np.inf, "finite and nonnegative")
 
 
 @dataclass

@@ -12,6 +12,7 @@ stacked validator; `EdgeMeasurement` is the per-edge view of the same data.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import operator
 from array import array
 from collections.abc import Iterable, Sequence
@@ -27,12 +28,13 @@ OFF_MANIFOLD_TOL = 1e-6
 _CHOLESKY_MAX = 1e6  # _not_psd's verdicts measured equal to eigvalsh's up to here, not at 1e7
 FLOAT_FMT = "%.17g"
 _MATRIX_FMT = " ".join([FLOAT_FMT] * 9)  # one 3x3 matrix, row-major
-BLOCK_LINES = 1024  # rows per float conversion on load, lines per write on save
 # Edges per block of a streamed per-edge computation (`edge_blocks`): its temporaries
 # take O(EDGE_BLOCK) memory, and only the arrays it fills grow with the edge count.
+# The loaders convert, and the writer writes, EDGE_BLOCK rows at a time.
 # A (1024, 3, 3) temporary is 72 KiB. With 4096-edge blocks, the solves of the
 # benchmark's 5000-edge workloads took 8-10x the minor page faults they take with 1024.
 EDGE_BLOCK = 1024
+MODES = ("iso", "aniso")  # edge precision: the identity, or the edge's Hessian
 
 
 class GraphFormatError(ValueError):
@@ -63,13 +65,26 @@ class EdgeMeasurement:
 
 
 def check_count(value, name: str, minimum: int = 1) -> None:
-    """Raise ValueError unless `value` is an integer >= minimum; numpy integers pass."""
+    """Raise ValueError unless `value` is an integer >= minimum; numpy integers pass, bools fail."""
     try:
-        ok = operator.index(value) >= minimum
+        ok = not isinstance(value, bool) and operator.index(value) >= minimum
     except TypeError:  # 2.5, nan, "3"
         ok = False
     if not ok:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, ok, must: str) -> None:
+    """Raise ValueError unless `value` is a real number, not a bool, for which `ok(value)`
+    holds; numpy scalars pass, and NaN fails every comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {must}, got {value!r}")
+
+
+def check_choice(value, name: str, choices: tuple) -> None:
+    """Raise ValueError unless `value` is a str in `choices`."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {name} {value!r}")
 
 
 def edge_blocks(count: int):
@@ -436,8 +451,7 @@ def assemble_blocks(g: ViewGraph, mode: str = "aniso") -> ConnectionBlocks:
     In "iso" mode Hessians are ignored and the weight is the identity; in
     "aniso" mode every edge must carry a Hessian.
     """
-    if mode not in ("iso", "aniso"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_choice(mode, "mode", MODES)
     if mode == "iso":
         return ConnectionBlocks(g.n, g.i_idx, g.j_idx, g.rel)
     h = g.hessian_stack()  # symmetric: the graph's validator checked it
@@ -495,7 +509,7 @@ def chain_init(g: ViewGraph, tree: np.ndarray) -> np.ndarray:
 def save_view_graph(g: ViewGraph, path) -> None:
     """Write the text format: VGRAPH header plus one EDGE line per edge.
 
-    Lines are formatted and written BLOCK_LINES at a time, so the memory the
+    Lines are formatted and written EDGE_BLOCK at a time, so the memory the
     writer takes beyond the graph does not grow with the edge count. A graph of
     0 cameras raises ValueError: the format's camera count must be positive.
     """
@@ -506,8 +520,8 @@ def save_view_graph(g: ViewGraph, path) -> None:
     with_h = plain + " H " + _MATRIX_FMT
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"VGRAPH 1 {g.n}\n")
-        for start in range(0, len(g.i_idx), BLOCK_LINES):
-            b = slice(start, start + BLOCK_LINES)
+        for start in range(0, len(g.i_idx), EDGE_BLOCK):
+            b = slice(start, start + EDGE_BLOCK)
             rows = zip(g.i_idx[b].tolist(), g.j_idx[b].tolist(), g.rel[b].reshape(-1, 9).tolist(),
                        g.hess[b].reshape(-1, 9).tolist(), g.has_hessian[b].tolist())
             f.write("".join([(with_h % (i, j, *r, *h) if has else plain % (i, j, *r)) + "\n"
@@ -529,7 +543,7 @@ def _read_rows(path, parse, width: int):
     `parse(tok)` checks one line's tokens and returns (key, its `width` number
     tokens) for a row, or None for a line without numbers; it raises ValueError
     on a fault. The key is what the caller keeps of the row besides its numbers.
-    The numbers of BLOCK_LINES rows are converted by one np.array call, which
+    The numbers of EDGE_BLOCK rows are converted by one np.array call, which
     accepts and refuses the strings float() does, with the same message.
     Reading stops at the first fault: a line's, or a refused number's, whose
     line is found by converting that block one token at a time; rows from that
@@ -570,7 +584,7 @@ def _read_rows(path, parse, width: int):
             keys.append(row[0])
             block += row[1]
             block_lines.append(lineno)
-            if len(block_lines) == BLOCK_LINES and not convert():
+            if len(block_lines) == EDGE_BLOCK and not convert():
                 break
     convert()  # the rows before a line fault; a number refused there is on an earlier line
     del keys[len(lines):]  # rows from a refused number's line on
@@ -600,7 +614,7 @@ def load_view_graph(path) -> ViewGraph:
 
     Each line's structure is checked as it is read (header, record tag, token
     count, integer ids, vertex range); the numbers are converted once per block
-    of BLOCK_LINES edges (`_read_rows`). Rotations off SO(3) by <= 1e-6 are
+    of EDGE_BLOCK edges (`_read_rows`). Rotations off SO(3) by <= 1e-6 are
     re-projected; beyond that the file is rejected. All edges are checked at
     once; an error names the first bad line in file order.
     """

@@ -136,7 +136,6 @@ class TestSolveEval:
             return real_cg(a, rhs, diag, maxiter, rtol)
 
         monkeypatch.setattr(robust, "block_jacobi_cg", counting_cg)
-        monkeypatch.setattr(solver, "block_jacobi_cg", counting_cg)
         assert run(["solve", "--in", vg, "--robust", robust_kind, "--out", tmp_path / "e.rot",
                     "--manifest", man, "--robust-trace", rtrace]) == 0
         manifest = json.loads(man.read_text())

@@ -12,7 +12,6 @@ import pytest
 from rotavg import so3, viewgraph
 from rotavg.synth import SceneSpec, generate_scene
 from rotavg.viewgraph import (
-    BLOCK_LINES,
     EDGE_BLOCK,
     SYMMETRY_TOL,
     ConnectionBlocks,
@@ -1194,8 +1193,8 @@ def write_with_faults(tmp_path, lines, bad_line, faults):
 
 
 # Rows ahead of the six lines the fault tests edit: none, or enough to put those six in the
-# third block of BLOCK_LINES rows, after two blocks that convert cleanly.
-FILLERS = (0, 2 * BLOCK_LINES)
+# third block of EDGE_BLOCK rows, after two blocks that convert cleanly.
+FILLERS = (0, 2 * EDGE_BLOCK)
 
 
 class TestLoaderNamesFirstBadLine:
@@ -1303,8 +1302,8 @@ class TestSaveViewGraph:
             assert len(path.read_text().splitlines()) == edges + 1
             return peak
 
-        small = traced_peak(2 * BLOCK_LINES)
-        assert traced_peak(8 * BLOCK_LINES) < small + 256 * 1024
+        small = traced_peak(2 * EDGE_BLOCK)
+        assert traced_peak(8 * EDGE_BLOCK) < small + 256 * 1024
 
     def test_graph_without_cameras_is_refused(self, tmp_path):
         """The loader refuses a camera count of 0, so the writer does not write one."""
