@@ -102,9 +102,8 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"camera count mismatch: {est.shape[0]} estimated vs {gt.shape[0]} ground truth"
         )
-    thresholds = [float(t) for t in args.auc.split(",") if t]
     with stage(timings, "evaluate"):
-        report = metrics.evaluate(est, gt, thresholds)
+        report = metrics.evaluate(est, gt, args.auc)
     with stage(timings, "save"):
         metrics.write_metrics_json(report, args.out)
     _write_manifest(args, timings)
@@ -113,6 +112,14 @@ def cmd_eval(args) -> int:
         + ", ".join(f"auc@{t:g} {v:.4g}%" for t, v in report.auc_percent.items())
     )
     return 0
+
+
+def _thresholds(text: str) -> list[float]:
+    """--auc's comma-separated thresholds; an empty or non-numeric token is a usage error."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate estimates against ground truth")
     p_eval.add_argument("--est", required=True)
     p_eval.add_argument("--gt", required=True)
-    p_eval.add_argument("--auc", default="1,5", help="comma-separated thresholds, degrees")
+    p_eval.add_argument("--auc", type=_thresholds, default="1,5", help="comma-separated thresholds, degrees")
     p_eval.add_argument("--out", required=True, help="metrics JSON path")
     p_eval.add_argument("--manifest", default=None)
     p_eval.set_defaults(func=cmd_eval)

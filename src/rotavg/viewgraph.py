@@ -388,56 +388,36 @@ class ConnectionBlocks(_Connectivity):
 
         Returns (indices, coeffs): per vertex k, its neighbors m and the (3, 3*deg) matrix
         of the blocks N_{m,k}^T side by side, in edge order, so that k's update target is
-        coeffs[k] @ vstack(R[indices[k]]). coeffs[k] is C-contiguous, or F-contiguous if k
-        is the j end of no edge (np.hstack's layout); the product's BLAS rounding follows it.
+        coeffs[k] @ vstack(R[indices[k]]).
 
-        The first call builds the tables (about 160 B per edge) and these blocks keep them,
-        so that `solver.coordinate_update` gathers in O(degree). `solver.acd_solve` releases
-        them with `drop_neighbor_tables` while it takes Newton steps, which never read them;
-        the next call builds the same tables again.
+        The first call builds the tables (views of two edge-sized arrays, about 160 B per
+        edge) and these blocks keep them, so that `solver.coordinate_update` gathers in
+        O(degree). `solver.acd_solve` releases them with `drop_neighbor_tables` while it
+        takes Newton steps, which never read them; the next call builds the same tables again.
         """
         if self._tables is not None:
             return self._tables
         from scipy.sparse import csc_matrix
 
         n, num = self.n, self.num_edges
-        # G_k = sum_m N_{m,k}^T R_m: N_{j,i}^T at vertex i, N_{i,j}^T = N_{j,i} at vertex j.
+        # G_k = sum_m N_{m,k}^T R_m: N_{j,i} = lower at vertex i, N_{i,j} = lower^T at vertex j.
         # Entry t < num is edge t at its i end, entry num + t edge t at its j end. Listed edge
         # by edge as the columns of a CSC matrix, the entries' CSR conversion counts them out
-        # by vertex in edge order, without a sort.
+        # by vertex in edge order, without a sort; `at[t]` is entry t's place in that order.
         by_vertex = csc_matrix((np.arange(2 * num).reshape(2, num).T.ravel(),
                                 np.stack([self.i_idx, self.j_idx], axis=1).ravel(),
                                 np.arange(0, 2 * num + 1, 2)), shape=(n, num)).tocsr()
-        order, start, deg = by_vertex.data, by_vertex.indptr[:-1], np.diff(by_vertex.indptr)
-        nbrs = np.concatenate([self.j_idx, self.i_idx])
-        fortran = np.bincount(self.j_idx, minlength=n) == 0
-        # One gather per degree and layout; `at` holds each vertex's entries in edge order.
-        group_key = 2 * deg + fortran
-        by_key = np.argsort(group_key, kind="stable")
-        indices, coeffs = [None] * n, [None] * n
-        for vs in np.split(by_key, np.flatnonzero(np.diff(group_key[by_key])) + 1) if n else []:
-            d = deg[vs[0]]
-            at = order[start[vs][:, None] + np.arange(d)]
-            if fortran[vs[0]]:  # every block is N_{j,k}^T: F order holds the lower blocks
-                group = [c.T for c in self.lower.take(at, axis=0).reshape(len(vs), -1, 3)]
-            else:  # row a of coeffs[k] is row a of each block, gathered EDGE_BLOCK entries at a time
-                group = np.empty((len(vs), 3, d, 3))
-                step = max(1, EDGE_BLOCK // d)
-                for c in range(0, len(vs), step):
-                    t = at[c:c + step].ravel()
-                    i_end = t < num
-                    # The chunk's blocks as rows, the transposed ones of its i ends first.
-                    rows = np.concatenate([np.swapaxes(self.lower.take(t[i_end], axis=0), 1, 2),
-                                           self.lower.take(t[~i_end] - num, axis=0)]).reshape(-1, 3)
-                    first, ends_i = np.empty(len(t), dtype=np.intp), np.count_nonzero(i_end)
-                    first[i_end], first[~i_end] = np.arange(ends_i), np.arange(ends_i, len(t))
-                    # Into `group` directly: with mode="clip" (the rows exist) take needs no buffer.
-                    rows.take(3 * first.reshape(-1, 1, d) + np.arange(3)[:, None], axis=0,
-                              out=group[c:c + step], mode="clip")
-                group = group.reshape(len(vs), 3, -1)
-            for k, nbr, c in zip(vs.tolist(), nbrs[at], group):
-                indices[k], coeffs[k] = nbr, c
-        self._tables = (indices, coeffs)
+        at = np.empty(2 * num, dtype=np.intp)
+        at[by_vertex.data] = np.arange(2 * num)
+        ends, blocks = np.empty(2 * num, dtype=np.intp), np.empty((2 * num, 3, 3))
+        for e in edge_blocks(num):
+            i_end, j_end = at[e], at[num:][e]
+            ends[i_end], ends[j_end] = self.j_idx[e], self.i_idx[e]
+            blocks[i_end], blocks[j_end] = self.lower[e], np.swapaxes(self.lower[e], 1, 2)
+        # Each table is a view: vertex k's entries are s:e of that order.
+        bounds, rows = by_vertex.indptr.tolist(), blocks.reshape(-1, 3)
+        self._tables = ([ends[s:e] for s, e in zip(bounds, bounds[1:])],
+                        [rows[3 * s:3 * e].T for s, e in zip(bounds, bounds[1:])])
         return self._tables
 
     def drop_neighbor_tables(self) -> None:

@@ -289,6 +289,16 @@ class TestSolveEval:
         assert "threshold must be positive" in capsys.readouterr().err
         assert not mj.exists()
 
+    @pytest.mark.parametrize("auc", ["abc", ",,", "", "1,,5"])
+    def test_eval_malformed_auc_usage_error(self, noiseless_loop, tmp_path, capsys, auc):
+        vg, gt = noiseless_loop
+        mj = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--est", gt, "--gt", gt, "--auc", auc, "--out", mj])
+        assert exc.value.code == 2
+        assert "argument --auc: expected comma-separated numbers" in capsys.readouterr().err
+        assert not mj.exists()
+
     def test_eval_camera_count_mismatch_exit_1(self, noiseless_loop, tmp_path, capsys):
         vg, gt = noiseless_loop
         short = tmp_path / "short.rot"

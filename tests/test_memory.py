@@ -56,12 +56,13 @@ def runs():
 
 # Measured at about 18,000 and 36,000 edges, in bytes per edge: generation 232
 # and 216 (723 and 721 with a stacked draw and a copying validator), ACD 285 and
-# 352 (463 and 462 with the neighbor tables kept through the Newton steps, 605 and
-# 604 with the Newton system's edge-sized stacks too; the larger scene sweeps after
-# a Newton step, next to the pattern), IRLS 464 and 461 (656 with the weighted
-# precisions, their negation and the effective precisions held for all edges), and
-# the airls pipeline 469 and 466, set by its IRLS stage (724 and 721 with the
-# connection blocks and their tables held through refinement).
+# 285 (463 and 462 with the neighbor tables kept through the Newton steps, 605 and
+# 604 with the Newton system's edge-sized stacks too; 357 and 352 when a rejected
+# Newton attempt makes a sweep rebuild the tables next to the pattern), IRLS 464
+# and 461 (656 with the weighted precisions, their negation and the effective
+# precisions held for all edges), and the airls pipeline 469 and 466, set by its
+# IRLS stage (724 and 721 with the connection blocks and their tables held through
+# refinement).
 @pytest.mark.parametrize("stage, b_per_edge", [("generate", 200), ("acd", 370), ("irls", 440),
                                                ("pipeline", 540)])
 def test_peak_per_edge(runs, stage, b_per_edge):

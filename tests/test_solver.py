@@ -553,20 +553,26 @@ class TestNewtonPolish:
                                                         (60, 0.2, 9, "iso", "identity")])
     def test_sweep_after_newton_rebuilds_the_tables(self, n, p, seed, mode, init, monkeypatch):
         """Newton steps run without the neighbor tables; a sweep after one rebuilds them.
-        Solves on blocks that were solved on before, and a coordinate update after
-        them, equal those on fresh blocks bit for bit."""
+        Each solve's second Newton attempt is rejected, so a sweep follows a Newton
+        step. Solves on blocks that were solved on before, and a coordinate update
+        after them, equal those on fresh blocks bit for bit."""
         g = generate_scene(SceneSpec(kind="general", n=n, p=p, seed=seed)).graph
         nb, cfg = assemble_blocks(g, mode), SolverConfig(mode=mode)
-        tables_held, newton_iterate = [], solver._newton_iterate
+        tables_held, attempts, newton_iterate = [], [], solver._newton_iterate
 
-        def recording(nb, pattern, r):
+        def rejecting_the_second(nb, pattern, r):
             tables_held.append(nb._tables is not None)
-            return newton_iterate(nb, pattern, r)
+            attempts.append(True)
+            return (None, 0) if len(attempts) == 2 else newton_iterate(nb, pattern, r)
 
-        monkeypatch.setattr(solver, "_newton_iterate", recording)
-        runs = [acd_solve(nb, cfg, make_init(init, n)) for _ in range(2)]
+        def solve(blocks):
+            attempts.clear()
+            return acd_solve(blocks, cfg, make_init(init, n))
+
+        monkeypatch.setattr(solver, "_newton_iterate", rejecting_the_second)
+        runs = [solve(nb) for _ in range(2)]
+        fresh = solve(assemble_blocks(g, mode))
         monkeypatch.undo()
-        fresh = acd_solve(assemble_blocks(g, mode), cfg, make_init(init, n))
         assert tables_held and not any(tables_held)
         pattern = "".join("N" if newton else "s" for newton in fresh.newton_trace)
         assert "Ns" in pattern
